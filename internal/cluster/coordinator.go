@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,6 +157,18 @@ func New(cfg Config) (*Coordinator, error) {
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
+}
+
+// memberList snapshots the configured members in name order.
+func (c *Coordinator) memberList() []*member {
+	c.mu.Lock()
+	list := make([]*member, 0, len(c.members))
+	for _, m := range c.members {
+		list = append(list, m)
+	}
+	c.mu.Unlock()
+	slices.SortFunc(list, func(a, b *member) int { return strings.Compare(a.name, b.name) })
+	return list
 }
 
 // baseURL normalizes a configured node address to a URL base.

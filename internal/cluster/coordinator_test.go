@@ -109,8 +109,15 @@ func newStubNode(t *testing.T) *stubNode {
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
+		// Like service.fleetSnapshot, the served snapshot folds the live
+		// journal into its events log.
+		snap := *n.fleet
+		snap.Events = n.fleet.Events.Clone()
+		for _, e := range n.journal {
+			snap.Events.Observe(e)
+		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(n.fleet)
+		json.NewEncoder(w).Encode(&snap)
 	})
 	mux.HandleFunc("GET /v1/events", func(w http.ResponseWriter, r *http.Request) {
 		n.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/dydroid/dydroid/internal/events"
@@ -34,135 +35,123 @@ type FleetResponse struct {
 	Snapshot *telemetry.Snapshot `json:"snapshot"`
 }
 
-// handleFleet federates the fleet telemetry: every configured node's
-// /v1/fleet snapshot is fetched concurrently and folded with
-// telemetry.Merge — the same associative merge the shard property tests
-// prove byte-stable, so a cluster-wide MeasurementReport reproduces the
-// single-node report of the same corpus.
-func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
+// maxFederatedBody bounds one member answer read by a federated view.
+const maxFederatedBody = 64 << 20
 
-	type fetched struct {
-		name string
-		snap *telemetry.Snapshot
-		err  error
-	}
-	results := make([]fetched, len(list))
+// fanned is one federated read: the configured member count, the members
+// that could not be read (sorted), and the decoded answers of the rest,
+// in member-name order.
+type fanned[T any] struct {
+	nodes   int
+	missing []string
+	results []fetched[T]
+}
+
+// fetched is one member's decoded answer.
+type fetched[T any] struct {
+	node string
+	val  T
+}
+
+// fanOut GETs path from every configured member concurrently and decodes
+// each JSON answer into a T. A member that cannot be read never fails the
+// view: it is named in missing and counted under counter, so a view over
+// survivors is distinguishable from a full-fleet one.
+func fanOut[T any](ctx context.Context, c *Coordinator, path, counter string) fanned[T] {
+	list := c.memberList()
+	vals := make([]T, len(list))
+	errs := make([]error, len(list))
 	var wg sync.WaitGroup
 	for i, m := range list {
 		wg.Add(1)
-		go func(i int, m *member) {
+		go func() {
 			defer wg.Done()
-			snap, err := c.fetchSnapshot(r.Context(), m.baseURL)
-			results[i] = fetched{name: m.name, snap: snap, err: err}
-		}(i, m)
+			errs[i] = c.getJSON(ctx, m.baseURL, path, &vals[i])
+		}()
 	}
 	wg.Wait()
+	out := fanned[T]{nodes: len(list)}
+	for i, m := range list {
+		if errs[i] != nil {
+			out.missing = append(out.missing, m.name)
+			c.reg.Add(counter, 1)
+			continue
+		}
+		out.results = append(out.results, fetched[T]{node: m.name, val: vals[i]})
+	}
+	return out
+}
 
+// getJSON GETs base+path and decodes the JSON answer into v; any status
+// but 200 is an error.
+func (c *Coordinator) getJSON(ctx context.Context, base, path string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	what := strings.TrimPrefix(path, "/v1/")
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: status %d", what, resp.StatusCode)
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxFederatedBody)).Decode(v); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
+// handleFleet serves the federated fleet telemetry.
+func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, c.fleet(r.Context()))
+}
+
+// fleet federates the fleet telemetry: every configured node's /v1/fleet
+// snapshot is folded with telemetry.Merge — the same associative merge
+// the shard property tests prove byte-stable, so a cluster-wide
+// MeasurementReport reproduces the single-node report of the same
+// corpus. A node whose snapshot does not merge (version skew) is missing
+// too.
+func (c *Coordinator) fleet(ctx context.Context) FleetResponse {
+	f := fanOut[*telemetry.Snapshot](ctx, c, "/v1/fleet", "cluster.fleet.missing")
 	merged := telemetry.NewSnapshot(0, 0, 0)
 	merged.Shards = 0
-	var missing []string
-	for _, f := range results {
-		if f.err == nil {
-			f.err = telemetry.Merge(merged, f.snap)
-		}
-		if f.err != nil {
-			missing = append(missing, f.name)
+	for _, res := range f.results {
+		if err := telemetry.Merge(merged, res.val); err != nil {
+			f.missing = append(f.missing, res.node)
 			c.reg.Add("cluster.fleet.missing", 1)
 		}
 	}
-	sort.Strings(missing)
-	if len(missing) > 0 {
+	sort.Strings(f.missing)
+	if len(f.missing) > 0 {
 		c.reg.Add("cluster.fleet.partial", 1)
 	}
 	// The coordinator's own lifecycle events (ejections, failovers) join
 	// the members' journals in the federated timeline.
 	merged.Events.Merge(c.cfg.Journal.Log())
-	writeJSON(w, http.StatusOK, FleetResponse{
-		Nodes:        len(list),
-		NodesMissing: len(missing),
-		Missing:      missing,
+	return FleetResponse{
+		Nodes:        f.nodes,
+		NodesMissing: len(f.missing),
+		Missing:      f.missing,
 		Snapshot:     merged,
-	})
+	}
 }
 
-// fetchSnapshot pulls one node's fleet snapshot.
-func (c *Coordinator) fetchSnapshot(ctx context.Context, base string) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/fleet", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: status %d", resp.StatusCode)
-	}
-	snap := new(telemetry.Snapshot)
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(snap); err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return snap, nil
-}
-
-// handleEvents federates the ops timeline: every member's /v1/events
-// JSONL is fetched concurrently and merged with the coordinator's own
-// journal into one bounded newest-first log, served back as JSONL. The
-// merge dedups identical entries, so refetching a member (or a member
-// appearing in several coordinators' views) never duplicates history.
+// handleEvents serves the federated ops timeline as JSONL: the Events log
+// of the federated fleet snapshot, which already folds every member's
+// journal with the coordinator's own and dedups identical entries.
+// Members that could not be read are named, sorted, in
+// X-Dydroid-Nodes-Missing — the names /v1/fleet reports.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-
-	logs := make([]events.Log, len(list))
-	var wg sync.WaitGroup
-	for i, m := range list {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			evs, err := c.fetchEvents(r.Context(), m.baseURL)
-			if err != nil {
-				return // a dead node contributes nothing; its ejection is in our own journal
-			}
-			logs[i] = events.Log{K: events.DefaultCap, Entries: evs}
-		}(i, m)
-	}
-	wg.Wait()
-
-	merged := c.cfg.Journal.Log()
-	for _, l := range logs {
-		merged.Merge(l)
+	fr := c.fleet(r.Context())
+	if len(fr.Missing) > 0 {
+		w.Header().Set("X-Dydroid-Nodes-Missing", strings.Join(fr.Missing, ","))
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	events.EncodeJSONL(w, merged.Entries)
-}
-
-// fetchEvents pulls one node's journal.
-func (c *Coordinator) fetchEvents(ctx context.Context, base string) ([]events.Event, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/events", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("events: status %d", resp.StatusCode)
-	}
-	return events.DecodeJSONL(io.LimitReader(resp.Body, 8<<20))
+	events.EncodeJSONL(w, fr.Snapshot.Events.Entries)
 }
 
 // NodeStatus is one worker's row in the cluster status view.

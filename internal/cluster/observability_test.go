@@ -171,6 +171,53 @@ func TestCoordinatorEventsFederation(t *testing.T) {
 	}
 }
 
+// TestCoordinatorEventsNamesMissingMember: a member that cannot be read
+// is named in X-Dydroid-Nodes-Missing on /v1/events — the same names
+// /v1/fleet reports — while the survivors' timeline is still served.
+func TestCoordinatorEventsNamesMissingMember(t *testing.T) {
+	a, b := newStubNode(t), newStubNode(t)
+	a.mu.Lock()
+	a.journal = []events.Event{{
+		Time: time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC),
+		Type: events.DrainStarted, Node: a.name(),
+	}}
+	a.mu.Unlock()
+	_, ts, _ := newTestCoordinator(t, Config{ProbeInterval: time.Hour}, a, b)
+
+	resp, err := http.Get(ts.URL + "/v1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Dydroid-Nodes-Missing"); got != "" {
+		t.Fatalf("healthy fleet names missing members %q", got)
+	}
+
+	b.ts.Close()
+	resp, err = http.Get(ts.URL + "/v1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/events with a dead member: %d", resp.StatusCode)
+	}
+	got := resp.Header.Get("X-Dydroid-Nodes-Missing")
+	if got != b.name() {
+		t.Fatalf("X-Dydroid-Nodes-Missing = %q, want %q", got, b.name())
+	}
+	if fr := getFleet(t, ts.URL); strings.Join(fr.Missing, ",") != got {
+		t.Fatalf("/v1/fleet missing %v, /v1/events header %q", fr.Missing, got)
+	}
+	evs, err := events.DecodeJSONL(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findEvent(evs, events.DrainStarted, a.name()) == nil {
+		t.Fatalf("survivor journal missing: %+v", evs)
+	}
+}
+
 // TestStitchedTraceAcrossFailover is the end-to-end tentpole check over
 // real HTTP processes: the owner of a digest is killed, the scan fails
 // over, and the coordinator's GET /v1/trace/{digest} returns ONE tree —

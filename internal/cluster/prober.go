@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"time"
 )
 
@@ -41,13 +38,7 @@ func (c *Coordinator) probeLoop() {
 // probeAll probes every member once. Network I/O happens outside the
 // membership lock; state transitions inside it.
 func (c *Coordinator) probeAll() {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-	for _, m := range list {
+	for _, m := range c.memberList() {
 		h, err := c.probeOne(m.baseURL)
 		var ver int
 		if err == nil {
@@ -93,23 +84,9 @@ func (c *Coordinator) probeAll() {
 func (c *Coordinator) probeOne(base string) (nodeHealth, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/healthz", nil)
-	if err != nil {
-		return nodeHealth{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nodeHealth{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nodeHealth{}, fmt.Errorf("healthz: status %d", resp.StatusCode)
-	}
 	var h nodeHealth
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nodeHealth{}, fmt.Errorf("healthz: %w", err)
-	}
-	return h, nil
+	err := c.getJSON(ctx, base, "/v1/healthz", &h)
+	return h, err
 }
 
 // fetchSnapshotVersion reads the node's fleet-snapshot format version
@@ -117,23 +94,9 @@ func (c *Coordinator) probeOne(base string) (nodeHealth, error) {
 func (c *Coordinator) fetchSnapshotVersion(base string) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/version", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("version: status %d", resp.StatusCode)
-	}
 	var v struct {
 		SnapshotVersion int `json:"snapshot_version"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return 0, err
-	}
-	return v.SnapshotVersion, nil
+	err := c.getJSON(ctx, base, "/v1/version", &v)
+	return v.SnapshotVersion, err
 }

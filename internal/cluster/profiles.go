@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
 
 	"github.com/dydroid/dydroid/internal/profile"
 )
@@ -30,49 +27,19 @@ type ProfilesResponse struct {
 // /v1/profiles/{id}?node= pin uses), and the union is served newest
 // first.
 func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-
-	type fetched struct {
-		name  string
-		metas []profile.Meta
-		err   error
-	}
-	results := make([]fetched, len(list))
-	var wg sync.WaitGroup
-	for i, m := range list {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			metas, err := c.fetchProfileIndex(r.Context(), m.baseURL)
-			results[i] = fetched{name: m.name, metas: metas, err: err}
-		}(i, m)
-	}
-	wg.Wait()
-
-	var missing []string
+	f := fanOut[[]profile.Meta](r.Context(), c, "/v1/profiles", "cluster.profiles.missing")
 	windows := []profile.Meta{}
 	// The coordinator's own windows join the index under its own name.
 	for _, meta := range c.cfg.Profiles.Index() {
 		meta.Node = c.cfg.Node
 		windows = append(windows, meta)
 	}
-	for _, f := range results {
-		if f.err != nil {
-			missing = append(missing, f.name)
-			c.reg.Add("cluster.profiles.missing", 1)
-			continue
-		}
-		for _, meta := range f.metas {
-			meta.Node = f.name
+	for _, res := range f.results {
+		for _, meta := range res.val {
+			meta.Node = res.node
 			windows = append(windows, meta)
 		}
 	}
-	sort.Strings(missing)
 	sort.Slice(windows, func(i, j int) bool {
 		if !windows[i].StartAt.Equal(windows[j].StartAt) {
 			return windows[i].StartAt.After(windows[j].StartAt)
@@ -83,32 +50,11 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		return windows[i].ID > windows[j].ID
 	})
 	writeJSON(w, http.StatusOK, ProfilesResponse{
-		Nodes:        len(list),
-		NodesMissing: len(missing),
-		Missing:      missing,
+		Nodes:        f.nodes,
+		NodesMissing: len(f.missing),
+		Missing:      f.missing,
 		Windows:      windows,
 	})
-}
-
-// fetchProfileIndex pulls one member's window index.
-func (c *Coordinator) fetchProfileIndex(ctx context.Context, base string) ([]profile.Meta, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/profiles", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("profiles: status %d", resp.StatusCode)
-	}
-	var metas []profile.Meta
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&metas); err != nil {
-		return nil, fmt.Errorf("profiles: %w", err)
-	}
-	return metas, nil
 }
 
 // handleProfile fetches one captured window from the fleet. Window IDs
@@ -144,20 +90,14 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		if pin != "" && m.name != pin {
-			continue
-		}
-		list = append(list, m)
+	list := c.memberList()
+	if pin != "" {
+		list = slices.DeleteFunc(list, func(m *member) bool { return m.name != pin })
 	}
-	c.mu.Unlock()
 	if len(list) == 0 {
 		httpError(w, http.StatusNotFound, "unknown node: "+pin)
 		return
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
 
 	path := "/v1/profiles/" + id
 	if f := r.URL.Query().Get("format"); f != "" {

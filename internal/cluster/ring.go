@@ -12,6 +12,12 @@
 // periodic /v1/healthz probes: a node failing K consecutive probes (or
 // K consecutive request forwards) is ejected from the ring and rejoins
 // automatically once it probes healthy again.
+//
+// Every federated view (/v1/fleet, /v1/profiles) reads its members
+// through one fan-out, fanOut, which names unreachable members instead of
+// failing. The coordinator's /v1/events is the events log of the
+// federated fleet snapshot, with unreachable members named in the
+// X-Dydroid-Nodes-Missing header.
 package cluster
 
 import (

@@ -91,52 +91,75 @@ func (a *Analyzer) AnalyzeAPK(apkBytes []byte) (*AppResult, error) {
 // none) with one child span per executed pipeline stage, and stores the
 // resulting span tree in AppResult.Trace.
 func (a *Analyzer) AnalyzeAPKContext(ctx context.Context, apkBytes []byte) (*AppResult, error) {
-	ctx, span := trace.Start(ctx, "analyze")
-	stop := a.opts.Metrics.Time("app.total")
+	ctx, span := a.startStage(ctx, "analyze", "app.total", false)
 	res, err := a.analyzeAPK(ctx, apkBytes)
-	stop()
 	if err != nil {
-		span.EndErr(err)
+		span.end(err)
 		a.opts.Metrics.Add("status."+string(StatusAnalysisError), 1)
 		return nil, err
 	}
 	span.SetAttr("package", res.Package)
 	span.SetAttr("status", string(res.Status))
-	span.End()
+	span.end(nil)
 	res.Trace = trace.FromContext(ctx)
 	a.opts.Metrics.Add("status."+string(res.Status), 1)
 	return res, nil
 }
 
+// stage is one open pipeline stage. Its span is the stage's only clock:
+// end closes the profiling meter and the span, then feeds the span's own
+// duration to the stage's histogram, so the trace, the metrics registry
+// and the cost table all account the same interval.
+type stage struct {
+	*trace.Span
+	reg    *metrics.Registry
+	metric string // histogram fed on end; "" feeds none
+	meter  func()
+}
+
+// startStage opens the span name under ctx. metered stages carry the
+// profiling meter's cost attrs.
+func (a *Analyzer) startStage(ctx context.Context, name, metric string, metered bool) (context.Context, stage) {
+	ctx, sp := trace.Start(ctx, name)
+	st := stage{Span: sp, reg: a.opts.Metrics, metric: metric, meter: func() {}}
+	if metered {
+		st.meter = profile.MeterSpan(sp)
+	}
+	return ctx, st
+}
+
+// end closes the stage, recording err as its failure when non-nil.
+func (s stage) end(err error) {
+	s.meter()
+	s.EndErr(err)
+	if s.metric != "" {
+		s.reg.Observe(s.metric, s.Duration())
+	}
+}
+
 func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult, error) {
 	res := &AppResult{}
 
-	_, sUnpack := trace.Start(ctx, "unpack")
-	mUnpack := profile.MeterSpan(sUnpack)
-	tUnpack := time.Now()
+	_, sUnpack := a.startStage(ctx, "unpack", "stage.unpack", true)
 	u, err := a.opts.Tool.Unpack(apkBytes)
 	if err != nil {
-		a.opts.Metrics.Observe("stage.unpack", time.Since(tUnpack))
-		mUnpack()
 		if errors.Is(err, apktool.ErrDecompile) {
 			sUnpack.SetAttr("anti-decompile", "true")
-			sUnpack.End()
+			sUnpack.end(nil)
 			res.Status = StatusUnpackFailure
 			res.Obfuscation.AntiDecompile = true
 			return res, nil
 		}
-		sUnpack.EndErr(err)
+		sUnpack.end(err)
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	res.Package = u.APK.Manifest.Package
 	res.PreFilter = obfuscation.PreFilter(u)
 	det := obfuscation.Detector{Tool: a.opts.Tool}
 	res.Obfuscation = det.AnalyzeUnpacked(u)
-	a.opts.Metrics.Observe("stage.unpack", time.Since(tUnpack))
 	sUnpack.SetAttr("dex-dcl", strconv.FormatBool(res.PreFilter.HasDexDCL))
 	sUnpack.SetAttr("native-dcl", strconv.FormatBool(res.PreFilter.HasNativeDCL))
-	mUnpack()
-	sUnpack.End()
+	sUnpack.end(nil)
 
 	if !res.PreFilter.HasDexDCL && !res.PreFilter.HasNativeDCL && !a.opts.RunDynamicWithoutDCL {
 		res.Status = StatusNoDCL
@@ -154,31 +177,25 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 	// archive is serialized lazily (once) when the installer needs bytes.
 	runPrep := prep
 	if !u.APK.Manifest.HasPermission(apk.WriteExternalStorage) {
-		_, sRewrite := trace.Start(ctx, "rewrite")
-		mRewrite := profile.MeterSpan(sRewrite)
-		tRewrite := time.Now()
+		_, sRewrite := a.startStage(ctx, "rewrite", "stage.rewrite", true)
 		rewritten, err := a.opts.Tool.RepackParsed(u.APK)
-		a.opts.Metrics.Observe("stage.rewrite", time.Since(tRewrite))
-		mRewrite()
 		if err != nil {
 			if errors.Is(err, apktool.ErrRepack) {
 				sRewrite.SetAttr("anti-repackaging", "true")
-				sRewrite.End()
+				sRewrite.end(nil)
 				res.Status = StatusRewriteFailure
 				return res, nil
 			}
-			sRewrite.EndErr(err)
+			sRewrite.end(err)
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		sRewrite.End()
+		sRewrite.end(nil)
 		runPrep = &PreparedApp{APK: rewritten, Dex: u.Dex}
 	}
 
 	// Dynamic phase, with one retry after cleaning external storage when
 	// the device runs out of space (automatic exception handling).
-	dctx, sDynamic := trace.Start(ctx, "dynamic")
-	mDynamic := profile.MeterSpan(sDynamic)
-	tDynamic := time.Now()
+	dctx, sDynamic := a.startStage(ctx, "dynamic", "stage.dynamic", true)
 	run, err := a.runDynamic(dctx, runPrep, nil)
 	if err != nil && isNoSpace(err) {
 		a.opts.Metrics.Add("dynamic.nospace-retries", 1)
@@ -187,10 +204,8 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 			dev.Storage.RemovePrefix(LogRoot)
 		})
 	}
-	a.opts.Metrics.Observe("stage.dynamic", time.Since(tDynamic))
-	mDynamic()
 	if err != nil {
-		sDynamic.EndErr(err)
+		sDynamic.end(err)
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	sDynamic.SetAttr("outcome", string(run.outcome))
@@ -203,7 +218,7 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 			trace.A("entity", string(ev.Entity)),
 			trace.A("provenance", string(ev.Provenance)))
 	}
-	sDynamic.End()
+	sDynamic.end(nil)
 	res.Events = run.events
 	res.RuntimeEvents = run.vmEvents
 	switch run.outcome {
@@ -218,17 +233,13 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 		res.Status = StatusExercised
 	}
 
-	_, sStatic := trace.Start(ctx, "static")
-	mStatic := profile.MeterSpan(sStatic)
-	tStatic := time.Now()
+	_, sStatic := a.startStage(ctx, "static", "stage.static", true)
 	a.staticOnIntercepted(res)
 	minSDK := u.APK.Manifest.MinSDK
 	res.Vulns = AnalyzeVulnerabilities(res.Package, minSDK, res.Events)
-	a.opts.Metrics.Observe("stage.static", time.Since(tStatic))
 	sStatic.SetAttr("malware", strconv.Itoa(len(res.Malware)))
 	sStatic.SetAttr("vulns", strconv.Itoa(len(res.Vulns)))
-	mStatic()
-	sStatic.End()
+	sStatic.end(nil)
 	return res, nil
 }
 
@@ -341,8 +352,7 @@ func (a *Analyzer) runDynamic(ctx context.Context, prep *PreparedApp, preLaunch 
 	}
 	mres := monkey.Exercise(machine, a.opts.MonkeyEvents, a.opts.Seed)
 
-	_, sIntercept := trace.Start(ctx, "interception")
-	mIntercept := profile.MeterSpan(sIntercept)
+	_, sIntercept := a.startStage(ctx, "interception", "", true)
 	logger.FinalizeInterception()
 	events := logger.Events()
 	tracker.Annotate(events)
@@ -360,12 +370,11 @@ func (a *Analyzer) runDynamic(ctx context.Context, prep *PreparedApp, preLaunch 
 	dumped, err := logger.DumpIntercepted()
 	sIntercept.SetAttr("intercepted", strconv.Itoa(intercepted))
 	sIntercept.SetAttr("dumped", strconv.Itoa(len(dumped)))
-	mIntercept()
 	if err != nil && !isNoSpace(err) {
-		sIntercept.EndErr(err)
+		sIntercept.end(err)
 		return nil, err
 	}
-	sIntercept.End()
+	sIntercept.end(nil)
 	return &dynRun{
 		outcome:  mres.Outcome,
 		crash:    mres.Err,
@@ -477,10 +486,8 @@ func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp,
 	if releaseDate.IsZero() {
 		releaseDate = DefaultReleaseDate
 	}
-	ctx, span := trace.Start(ctx, "replay")
+	ctx, span := a.startStage(ctx, "replay", "stage.replay", true)
 	span.SetAttr("config", string(cfg))
-	defer profile.MeterSpan(span)()
-	defer a.opts.Metrics.Time("stage.replay")()
 	run, err := a.runDynamic(ctx, prep, func(dev *android.Device) {
 		switch cfg {
 		case ConfigTimeBeforeRelease:
@@ -495,7 +502,7 @@ func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp,
 		}
 	})
 	if err != nil {
-		span.EndErr(err)
+		span.end(err)
 		return nil, err
 	}
 	loaded := make(map[string]bool)
@@ -503,7 +510,7 @@ func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp,
 		loaded[ev.Path] = true
 	}
 	span.SetAttr("loaded", strconv.Itoa(len(loaded)))
-	span.End()
+	span.end(nil)
 	return loaded, nil
 }
 

@@ -7,22 +7,26 @@
 // timestamp, so an operator reading the dashboard timeline (or curling
 // /v1/events) can reconstruct an incident without grepping logs.
 //
-// The journal's aggregate form is a Log: a newest-first selection by a
-// deterministic total order, exactly mergeable like every other fleet
-// snapshot field — a coordinator folds its members' logs with its own and
-// the result is independent of merge order. Events serialize one JSON
-// object per line (JSONL), the same interchange convention the trace
-// layer uses.
+// The journal's aggregate form is a Log, the shared metrics.Ring over
+// Event: a newest-first selection by a deterministic total order, exactly
+// mergeable like every other fleet snapshot field — a coordinator folds
+// its members' logs with its own and the result is independent of merge
+// order. The coordinator serves the federated log at /v1/events and
+// names unreachable members in X-Dydroid-Nodes-Missing. Events serialize
+// one JSON object per line (JSONL), the same interchange convention the
+// trace layer uses.
 package events
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
+
+	"github.com/dydroid/dydroid/internal/metrics"
 )
 
 // Type names one lifecycle transition.
@@ -82,61 +86,22 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// key is the deterministic tiebreak for events sharing a timestamp, so
-// Log merges stay associative.
-func (e Event) key() string {
-	return string(e.Type) + "\x00" + e.Node + "\x00" + e.Digest + "\x00" + e.Detail
+// Compare orders the journal newest first, then by kind, node, digest
+// and detail, so merges of member logs are independent of arrival order.
+func (e Event) Compare(o Event) int {
+	return cmp.Or(o.Time.Compare(e.Time), cmp.Compare(e.Type, o.Type),
+		cmp.Compare(e.Node, o.Node), cmp.Compare(e.Digest, o.Digest), cmp.Compare(e.Detail, o.Detail))
 }
 
 // DefaultCap bounds a journal when no capacity is given.
 const DefaultCap = 128
 
 // Log is the bounded newest-first event list — the serialization and
-// merge unit of the journal. Like the telemetry rings it is a selection
-// by total order (recency, then key), so merging per-node logs is exact:
-// associative, commutative, and independent of arrival order.
-type Log struct {
-	K       int     `json:"k"`
-	Entries []Event `json:"entries,omitempty"`
-}
-
-// Observe offers one event to the log.
-func (l *Log) Observe(e Event) {
-	l.Entries = append(l.Entries, e)
-	l.normalize()
-}
-
-// Merge folds o into l, keeping the newest max(l.K, o.K) events.
-func (l *Log) Merge(o Log) {
-	if o.K > l.K {
-		l.K = o.K
-	}
-	l.Entries = append(l.Entries, o.Entries...)
-	l.normalize()
-}
-
-func (l *Log) normalize() {
-	sort.Slice(l.Entries, func(i, j int) bool {
-		ti, tj := l.Entries[i].Time, l.Entries[j].Time
-		if !ti.Equal(tj) {
-			return ti.After(tj)
-		}
-		return l.Entries[i].key() < l.Entries[j].key()
-	})
-	// Identical (time, key) duplicates collapse: a log merged into itself
-	// (the coordinator refetching a node) must not double its entries.
-	dedup := l.Entries[:0]
-	for i, e := range l.Entries {
-		if i > 0 && e.Time.Equal(l.Entries[i-1].Time) && e.key() == l.Entries[i-1].key() {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	l.Entries = dedup
-	if l.K > 0 && len(l.Entries) > l.K {
-		l.Entries = l.Entries[:l.K]
-	}
-}
+// merge unit of the journal. It is the shared metrics.Ring: identical
+// events collapse (a log merged into itself, or a member refetched by
+// the coordinator, never doubles its entries), and merging per-node logs
+// is associative, commutative and independent of arrival order.
+type Log = metrics.Ring[Event]
 
 // Journal is the live concurrent collector: Record appends events as they
 // happen, Log snapshots the bounded aggregate. All methods are safe for
@@ -178,7 +143,7 @@ func (j *Journal) Log() Log {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Log{K: j.log.K, Entries: append([]Event(nil), j.log.Entries...)}
+	return j.log.Clone()
 }
 
 // Len reports the number of retained events.

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -161,6 +162,11 @@ type SlowApp struct {
 	Package string        `json:"package"`
 	Total   time.Duration `json:"total"`
 	Trace   *trace.Trace  `json:"trace"`
+}
+
+// Compare orders the kept traces slowest first, then by package.
+func (s SlowApp) Compare(o SlowApp) int {
+	return cmp.Or(cmp.Compare(o.Total, s.Total), cmp.Compare(s.Package, o.Package))
 }
 
 // String renders the stats block as an aligned report section.

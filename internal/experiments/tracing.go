@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/telemetry"
 	"github.com/dydroid/dydroid/internal/trace"
 )
@@ -19,12 +20,11 @@ import (
 type traceCollector struct {
 	mu      sync.Mutex
 	durs    map[string][]time.Duration
-	slowest []SlowApp // sorted slowest-first, len <= keep
-	keep    int
+	slowest metrics.Ring[SlowApp]
 }
 
 func newTraceCollector(keep int) *traceCollector {
-	return &traceCollector{durs: make(map[string][]time.Duration), keep: keep}
+	return &traceCollector{durs: make(map[string][]time.Duration), slowest: metrics.Ring[SlowApp]{K: keep}}
 }
 
 // add folds one app's trace in: every span's duration lands in its
@@ -41,17 +41,7 @@ func (c *traceCollector) add(pkg string, t *trace.Trace) {
 	t.Root.Walk(func(s *trace.Span) {
 		c.durs[s.Name] = append(c.durs[s.Name], s.Duration())
 	})
-	if c.keep <= 0 {
-		return
-	}
-	if len(c.slowest) == c.keep && total <= c.slowest[len(c.slowest)-1].Total {
-		return
-	}
-	c.slowest = append(c.slowest, SlowApp{Package: pkg, Total: total, Trace: t})
-	sort.Slice(c.slowest, func(i, j int) bool { return c.slowest[i].Total > c.slowest[j].Total })
-	if len(c.slowest) > c.keep {
-		c.slowest = c.slowest[:c.keep]
-	}
+	c.slowest.Observe(SlowApp{Package: pkg, Total: total, Trace: t})
 }
 
 // stats returns the exact per-stage quantiles and the kept slow traces.
@@ -72,7 +62,7 @@ func (c *traceCollector) stats() (map[string]Quantiles, []SlowApp) {
 			P99:   quantileExact(sorted, 0.99),
 		}
 	}
-	return out, append([]SlowApp(nil), c.slowest...)
+	return out, c.slowest.Clone().Entries
 }
 
 // quantileScale expresses quantiles as parts-per-million so the

@@ -4,11 +4,18 @@
 // per-stage timings (unpack/rewrite/dynamic/static/replay) and status
 // counts into a Registry; the experiment runner aggregates one Registry
 // per run into its RunStats block. No external dependencies.
+//
+// The package also holds the two mergeable aggregates every other
+// observability layer folds with: Hist, the one bucketed duration
+// distribution (the registry's histograms and the fleet snapshot's stage
+// latencies), and Ring, the one bounded selection list (recent DCL loads
+// and errors, slowest analyses, the ops event journal, the runner's
+// slowest traces). metrics imports nothing from the rest of the module,
+// so any package may build on them.
 package metrics
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -16,22 +23,6 @@ import (
 	"text/tabwriter"
 	"time"
 )
-
-// numBuckets is the histogram resolution: bucket i covers durations in
-// (1µs·2^(i-1), 1µs·2^i], so the top bucket reaches past half an hour.
-const numBuckets = 32
-
-// NumBuckets is the shared histogram resolution, exported so other
-// packages (the fleet telemetry aggregator) can build duration
-// distributions that merge bucket-for-bucket with this registry's.
-const NumBuckets = numBuckets
-
-// BucketOf returns the index of the exponential bucket holding d, under
-// the same scheme the registry's histograms use.
-func BucketOf(d time.Duration) int { return bucketOf(d) }
-
-// BucketBound is the inclusive upper bound of bucket i.
-func BucketBound(i int) time.Duration { return bucketBound(i) }
 
 // Registry holds named counters, gauges and histograms. All methods are safe for
 // concurrent use, and every method is a no-op on a nil receiver so callers
@@ -151,9 +142,6 @@ func (r *Registry) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	r.mu.Lock()
 	h, ok := r.hists[name]
 	if !ok {
@@ -174,85 +162,29 @@ func (r *Registry) Time(name string) func() {
 	return func() { r.Observe(name, time.Since(start)) }
 }
 
-// histogram is an exponentially-bucketed duration distribution.
+// histogram is a registry entry: the shared Hist behind a mutex, so
+// concurrent Observe calls on one name serialize on that name only.
 type histogram struct {
-	mu      sync.Mutex
-	buckets [numBuckets]int64
-	count   int64
-	total   time.Duration
-	min     time.Duration
-	max     time.Duration
-}
-
-func bucketOf(d time.Duration) int {
-	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us) // 0 for sub-µs, else 1+floor(log2(µs))
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	return b
-}
-
-// bucketBound is the inclusive upper bound of bucket i.
-func bucketBound(i int) time.Duration {
-	return time.Microsecond << i
+	mu sync.Mutex
+	h  Hist
 }
 
 func (h *histogram) observe(d time.Duration) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets[bucketOf(d)]++
-	h.count++
-	h.total += d
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
+	h.h.Observe(d)
+	h.mu.Unlock()
 }
 
 func (h *histogram) stats() StageStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := StageStats{
-		Count: h.count,
-		Total: h.total,
-		Min:   h.min,
-		Max:   h.max,
-	}
-	if h.count == 0 {
-		return s
-	}
-	s.Mean = h.total / time.Duration(h.count)
-	s.P50 = h.quantileLocked(0.50)
-	s.P90 = h.quantileLocked(0.90)
-	s.P99 = h.quantileLocked(0.99)
-	return s
+	return h.h.Stats()
 }
 
-// quantileLocked returns the upper bound of the bucket holding the q-th
-// observation, clamped to the exact observed extremes.
-func (h *histogram) quantileLocked(q float64) time.Duration {
-	rank := int64(q * float64(h.count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			b := bucketBound(i)
-			if b > h.max {
-				b = h.max
-			}
-			if b < h.min {
-				b = h.min
-			}
-			return b
-		}
-	}
-	return h.max
+func (h *histogram) clone() *Hist {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Clone()
 }
 
 // StageStats summarizes one histogram at snapshot time.

@@ -232,18 +232,3 @@ func TestWritePrometheusGauge(t *testing.T) {
 		}
 	}
 }
-
-func TestExportedBucketScheme(t *testing.T) {
-	for _, d := range []time.Duration{0, time.Microsecond, 3 * time.Millisecond, time.Hour} {
-		i := BucketOf(d)
-		if i < 0 || i >= NumBuckets {
-			t.Fatalf("BucketOf(%v) = %d out of range", d, i)
-		}
-		if d > 0 && d > BucketBound(i) && i < NumBuckets-1 {
-			t.Fatalf("BucketOf(%v) = %d but bound is only %v", d, i, BucketBound(i))
-		}
-	}
-	if BucketBound(0) != time.Microsecond {
-		t.Fatalf("BucketBound(0) = %v", BucketBound(0))
-	}
-}

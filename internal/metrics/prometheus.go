@@ -45,30 +45,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	for _, name := range sortedKeys(hists) {
 		pn := promName(name) + "_seconds"
-		buckets, count, total := hists[name].snapshotBuckets()
+		h := hists[name].clone()
 		fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
+		// Hist stores no trailing empty buckets; the rest collapse into
+		// +Inf, and cumulative counts stay exact.
 		var cum int64
-		// Trailing empty buckets collapse into +Inf to keep the
-		// exposition compact; cumulative counts stay exact.
-		last := len(buckets) - 1
-		for last > 0 && buckets[last] == 0 {
-			last--
-		}
-		for i := 0; i <= last; i++ {
-			cum += buckets[i]
+		for i, n := range h.Buckets {
+			cum += n
 			fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", pn, bucketBound(i).Seconds(), cum)
 		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, count)
-		fmt.Fprintf(w, "%s_sum %g\n", pn, total.Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", pn, count)
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count)
+		fmt.Fprintf(w, "%s_sum %g\n", pn, time.Duration(h.SumNS).Seconds())
+		fmt.Fprintf(w, "%s_count %d\n", pn, h.Count)
 	}
-}
-
-// snapshotBuckets copies out the raw distribution for exposition.
-func (h *histogram) snapshotBuckets() (buckets [numBuckets]int64, count int64, total time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.buckets, h.count, h.total
 }
 
 // promName maps a registry name like "stage.unpack" or

@@ -84,6 +84,31 @@ func ingest(t *testing.T, lo, hi int) *Snapshot {
 	return a.Snapshot()
 }
 
+// tieShards returns two one-app shards whose DCL loads share a
+// timestamp, package, path, API and kind and differ only in entity,
+// provenance and source URL, plus the single-pass snapshot of both apps.
+// The recent-DCL ring must order such loads by every field, or the two
+// merge orders serialize differently.
+func tieShards(t *testing.T) (a, b, union *Snapshot) {
+	t.Helper()
+	base := time.Date(2026, 8, 2, 0, 0, 0, 0, time.UTC)
+	app := func(digest string, ent core.Entity, prov core.Provenance, url string) (*core.AppResult, *trace.Trace) {
+		res := &core.AppResult{Package: "com.synth.tie", Status: core.StatusExercised, Events: []*core.DCLEvent{{
+			Kind: core.KindDex, API: "DexClassLoader", Path: "/data/tie.dex",
+			CallSite: "com.synth.tie.Main", Entity: ent, Provenance: prov, SourceURL: url,
+		}}}
+		return res, appTrace(digest, base, time.Millisecond, time.Millisecond/2)
+	}
+	resA, trA := app("aaaa", core.EntityOwn, core.ProvenanceLocal, "")
+	resB, trB := app("bbbb", core.EntityThirdParty, core.ProvenanceRemote, "http://cdn.example/tie.dex")
+	shardA, shardB, all := New(Options{}), New(Options{}), New(Options{})
+	shardA.ObserveApp(resA, trA)
+	shardB.ObserveApp(resB, trB)
+	all.ObserveApp(resA, trA)
+	all.ObserveApp(resB, trB)
+	return shardA.Snapshot(), shardB.Snapshot(), all.Snapshot()
+}
+
 // mustJSON serialises a snapshot with the shard count zeroed: a merge of
 // three shard files legitimately reports Shards=3 where the single-pass
 // union reports 1, and the property under test is about the aggregate
@@ -134,6 +159,14 @@ func TestMergeEqualsUnion(t *testing.T) {
 			t.Errorf("merge order %s diverges from single-pass union\n got: %.400s\nwant: %.400s", name, g, want)
 		}
 	}
+
+	ta, tb, tunion := tieShards(t)
+	want = mustJSON(t, tunion)
+	for name, got := range map[string]*Snapshot{"tie a+b": mergeAll(t, ta, tb), "tie b+a": mergeAll(t, tb, ta)} {
+		if g := mustJSON(t, got); g != want {
+			t.Errorf("merge order %s diverges from single-pass union\n got: %s\nwant: %s", name, g, want)
+		}
+	}
 }
 
 // TestMergeCommutative checks pairwise commutativity on overlapping
@@ -146,6 +179,11 @@ func TestMergeCommutative(t *testing.T) {
 	ba := mergeAll(t, b, a)
 	if mustJSON(t, ab) != mustJSON(t, ba) {
 		t.Fatal("Merge(a, b) != Merge(b, a)")
+	}
+
+	ta, tb, _ := tieShards(t)
+	if g, w := mustJSON(t, mergeAll(t, ta, tb)), mustJSON(t, mergeAll(t, tb, ta)); g != w {
+		t.Fatalf("tied loads: Merge(a, b) != Merge(b, a)\n a+b: %s\n b+a: %s", g, w)
 	}
 }
 

@@ -1,10 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/dydroid/dydroid/internal/events"
@@ -46,9 +47,9 @@ type Snapshot struct {
 	// verdict.approved / verdict.rejected.
 	Counters map[string]int64 `json:"counters,omitempty"`
 
-	// Stages maps span names to mergeable latency distributions using the
-	// same exponential buckets as internal/metrics.
-	Stages map[string]*Hist `json:"stages,omitempty"`
+	// Stages maps span names to mergeable latency distributions — the
+	// same Hist the metrics registry keeps.
+	Stages map[string]*metrics.Hist `json:"stages,omitempty"`
 
 	// Costs is the per-stage resource attribution table: CPU time and
 	// allocation deltas parsed from the cost attrs the profiling meter
@@ -62,12 +63,12 @@ type Snapshot struct {
 	TopEntities TopK `json:"top_entities"`
 
 	// SlowestApps lists the slowest analyses by root span duration.
-	SlowestApps TopApps `json:"slowest_apps"`
+	SlowestApps metrics.Ring[SlowApp] `json:"slowest_apps"`
 
 	// RecentDCL and RecentErrors are bounded newest-first rings of the
 	// last DCL loads and analysis failures seen across the fleet.
-	RecentDCL    Ring[RecentDCL]   `json:"recent_dcl"`
-	RecentErrors Ring[RecentError] `json:"recent_errors"`
+	RecentDCL    metrics.Ring[RecentDCL]   `json:"recent_dcl"`
+	RecentErrors metrics.Ring[RecentError] `json:"recent_errors"`
 
 	// Events is the ops event journal slice riding in the snapshot: node
 	// ejections, failovers, queue saturation, drains, watchdog hits. The
@@ -99,12 +100,12 @@ func NewSnapshot(topK, slowest, ring int) *Snapshot {
 		Version:      SnapshotVersion,
 		Shards:       1,
 		Counters:     make(map[string]int64),
-		Stages:       make(map[string]*Hist),
+		Stages:       make(map[string]*metrics.Hist),
 		Costs:        make(map[string]*StageCost),
 		TopEntities:  TopK{K: topK},
-		SlowestApps:  TopApps{K: slowest},
-		RecentDCL:    Ring[RecentDCL]{K: ring},
-		RecentErrors: Ring[RecentError]{K: ring},
+		SlowestApps:  metrics.Ring[SlowApp]{K: slowest},
+		RecentDCL:    metrics.Ring[RecentDCL]{K: ring},
+		RecentErrors: metrics.Ring[RecentError]{K: ring},
 		Events:       events.Log{K: events.DefaultCap},
 	}
 }
@@ -130,15 +131,13 @@ func Merge(dst, src *Snapshot) error {
 		dst.Counters[k] += v
 	}
 	if dst.Stages == nil {
-		dst.Stages = make(map[string]*Hist, len(src.Stages))
+		dst.Stages = make(map[string]*metrics.Hist, len(src.Stages))
 	}
 	for name, h := range src.Stages {
 		if cur, ok := dst.Stages[name]; ok {
 			cur.Merge(h)
 		} else {
-			cp := *h
-			cp.Buckets = append([]int64(nil), h.Buckets...)
-			dst.Stages[name] = &cp
+			dst.Stages[name] = h.Clone()
 		}
 	}
 	if dst.Costs == nil && len(src.Costs) > 0 {
@@ -204,95 +203,6 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// Hist is a mergeable duration distribution over the exponential bucket
-// scheme of internal/metrics (bucket i covers (1µs·2^(i-1), 1µs·2^i]).
-// Trailing empty buckets are trimmed in the serialized form; Merge and
-// Observe handle the ragged lengths.
-type Hist struct {
-	Buckets []int64 `json:"buckets,omitempty"`
-	Count   int64   `json:"count"`
-	SumNS   int64   `json:"sum_ns"`
-	MinNS   int64   `json:"min_ns"`
-	MaxNS   int64   `json:"max_ns"`
-}
-
-// Observe folds one duration into the distribution.
-func (h *Hist) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	i := metrics.BucketOf(d)
-	for len(h.Buckets) <= i {
-		h.Buckets = append(h.Buckets, 0)
-	}
-	h.Buckets[i]++
-	h.Count++
-	h.SumNS += int64(d)
-	if h.Count == 1 || int64(d) < h.MinNS {
-		h.MinNS = int64(d)
-	}
-	if int64(d) > h.MaxNS {
-		h.MaxNS = int64(d)
-	}
-}
-
-// Merge adds o's observations into h, bucket for bucket.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	for len(h.Buckets) < len(o.Buckets) {
-		h.Buckets = append(h.Buckets, 0)
-	}
-	for i, n := range o.Buckets {
-		h.Buckets[i] += n
-	}
-	if h.Count == 0 || o.MinNS < h.MinNS {
-		h.MinNS = o.MinNS
-	}
-	if o.MaxNS > h.MaxNS {
-		h.MaxNS = o.MaxNS
-	}
-	h.Count += o.Count
-	h.SumNS += o.SumNS
-}
-
-// Mean is the average observed duration.
-func (h *Hist) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return time.Duration(h.SumNS / h.Count)
-}
-
-// Quantile returns the upper bound of the bucket holding the q-th
-// observation, clamped to the observed extremes (the same estimator as
-// the metrics registry's histograms).
-func (h *Hist) Quantile(q float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, n := range h.Buckets {
-		cum += n
-		if cum >= rank {
-			b := metrics.BucketBound(i)
-			if int64(b) > h.MaxNS {
-				b = time.Duration(h.MaxNS)
-			}
-			if int64(b) < h.MinNS {
-				b = time.Duration(h.MinNS)
-			}
-			return b
-		}
-	}
-	return time.Duration(h.MaxNS)
-}
-
 // StageCost is the mergeable resource bill of one pipeline stage:
 // how many metered spans were observed and the summed CPU-time and
 // allocation deltas across them. Deltas are process-scoped, so under
@@ -325,25 +235,26 @@ type TopK struct {
 	Entries []TopEntry `json:"entries,omitempty"`
 }
 
-// Observe counts one occurrence of key.
+// Observe counts one occurrence of key. Only the touched entry's count
+// grows, so it bubbles toward the front into canonical order; no sort.
 func (t *TopK) Observe(key string) {
-	for i := range t.Entries {
-		if t.Entries[i].Key == key {
-			t.Entries[i].Count++
-			t.normalize()
-			return
-		}
-	}
-	if len(t.Entries) < t.K {
+	i := slices.IndexFunc(t.Entries, func(e TopEntry) bool { return e.Key == key })
+	switch {
+	case i >= 0:
+		t.Entries[i].Count++
+	case len(t.Entries) < t.K:
 		t.Entries = append(t.Entries, TopEntry{Key: key, Count: 1})
-		t.normalize()
-		return
+		i = len(t.Entries) - 1
+	default:
+		// Full: replace the minimum (the last entry in canonical order)
+		// and inherit its count as the new key's error bound.
+		i = len(t.Entries) - 1
+		min := t.Entries[i]
+		t.Entries[i] = TopEntry{Key: key, Count: min.Count + 1, Err: min.Count}
 	}
-	// Full: replace the minimum (deterministically the last entry after
-	// normalize) and inherit its count as the new key's error bound.
-	min := t.Entries[len(t.Entries)-1]
-	t.Entries[len(t.Entries)-1] = TopEntry{Key: key, Count: min.Count + 1, Err: min.Count}
-	t.normalize()
+	for ; i > 0 && t.Entries[i].Compare(t.Entries[i-1]) < 0; i-- {
+		t.Entries[i], t.Entries[i-1] = t.Entries[i-1], t.Entries[i]
+	}
 }
 
 // Merge folds o into t: counts and error bounds sum over the key union,
@@ -368,21 +279,16 @@ func (t *TopK) Merge(o TopK) {
 	for _, e := range byKey {
 		t.Entries = append(t.Entries, e)
 	}
-	t.normalize()
+	slices.SortFunc(t.Entries, TopEntry.Compare)
 	if len(t.Entries) > t.K {
 		t.Entries = t.Entries[:t.K]
 	}
 }
 
-// normalize sorts entries by count desc, then key asc — the canonical
-// serialized order, which also keeps eviction deterministic.
-func (t *TopK) normalize() {
-	sort.Slice(t.Entries, func(i, j int) bool {
-		if t.Entries[i].Count != t.Entries[j].Count {
-			return t.Entries[i].Count > t.Entries[j].Count
-		}
-		return t.Entries[i].Key < t.Entries[j].Key
-	})
+// Compare is the canonical sketch order: count desc, then key asc. It
+// also keeps eviction deterministic.
+func (e TopEntry) Compare(o TopEntry) int {
+	return cmp.Or(cmp.Compare(o.Count, e.Count), cmp.Compare(e.Key, o.Key))
 }
 
 // SlowApp is one entry of the slowest-analyses list.
@@ -392,49 +298,10 @@ type SlowApp struct {
 	NS      int64  `json:"ns"`
 }
 
-// TopApps keeps the K slowest analyses. Selection by a total order is
-// exactly mergeable: the K slowest of a union are always among the
-// per-shard K slowest.
-type TopApps struct {
-	K       int       `json:"k"`
-	Entries []SlowApp `json:"entries,omitempty"`
-}
-
-// Observe offers one analysis to the list.
-func (t *TopApps) Observe(e SlowApp) {
-	t.Entries = append(t.Entries, e)
-	t.normalize()
-}
-
-// Merge folds o into t.
-func (t *TopApps) Merge(o TopApps) {
-	if o.K > t.K {
-		t.K = o.K
-	}
-	t.Entries = append(t.Entries, o.Entries...)
-	t.normalize()
-}
-
-func (t *TopApps) normalize() {
-	sort.Slice(t.Entries, func(i, j int) bool {
-		if t.Entries[i].NS != t.Entries[j].NS {
-			return t.Entries[i].NS > t.Entries[j].NS
-		}
-		if t.Entries[i].Package != t.Entries[j].Package {
-			return t.Entries[i].Package < t.Entries[j].Package
-		}
-		return t.Entries[i].Digest < t.Entries[j].Digest
-	})
-	if len(t.Entries) > t.K {
-		t.Entries = t.Entries[:t.K]
-	}
-}
-
-// ringItem orders ring entries newest-first with a deterministic total
-// order, so ring merges (top-K selection by recency) stay associative.
-type ringItem interface {
-	ringKey() string
-	ringTime() time.Time
+// Compare orders the slowest-analyses list: slowest first, then by
+// package and digest.
+func (e SlowApp) Compare(o SlowApp) int {
+	return cmp.Or(cmp.Compare(o.NS, e.NS), cmp.Compare(e.Package, o.Package), cmp.Compare(e.Digest, o.Digest))
 }
 
 // RecentDCL is one recent dynamic code loading event.
@@ -449,9 +316,15 @@ type RecentDCL struct {
 	SourceURL  string    `json:"source_url,omitempty"`
 }
 
-func (e RecentDCL) ringTime() time.Time { return e.Time }
-func (e RecentDCL) ringKey() string {
-	return e.Package + "\x00" + e.Path + "\x00" + e.API + "\x00" + e.Kind
+// Compare orders the recent-DCL ring newest first, then by every other
+// field, so two loads that differ only in attribution never tie and
+// merges serialize identically in either order.
+func (e RecentDCL) Compare(o RecentDCL) int {
+	return cmp.Or(o.Time.Compare(e.Time),
+		cmp.Compare(e.Package, o.Package), cmp.Compare(e.Path, o.Path),
+		cmp.Compare(e.API, o.API), cmp.Compare(e.Kind, o.Kind),
+		cmp.Compare(e.Entity, o.Entity), cmp.Compare(e.Provenance, o.Provenance),
+		cmp.Compare(e.SourceURL, o.SourceURL))
 }
 
 // RecentError is one recent analysis failure.
@@ -461,40 +334,8 @@ type RecentError struct {
 	Err     string    `json:"err"`
 }
 
-func (e RecentError) ringTime() time.Time { return e.Time }
-func (e RecentError) ringKey() string     { return e.Package + "\x00" + e.Err }
-
-// Ring is a bounded newest-first event list. Like TopApps it is a
-// selection by total order (recency, then key), so merges are exact.
-type Ring[E ringItem] struct {
-	K       int `json:"k"`
-	Entries []E `json:"entries,omitempty"`
-}
-
-// Observe offers one event to the ring.
-func (r *Ring[E]) Observe(e E) {
-	r.Entries = append(r.Entries, e)
-	r.normalize()
-}
-
-// Merge folds o into r.
-func (r *Ring[E]) Merge(o Ring[E]) {
-	if o.K > r.K {
-		r.K = o.K
-	}
-	r.Entries = append(r.Entries, o.Entries...)
-	r.normalize()
-}
-
-func (r *Ring[E]) normalize() {
-	sort.Slice(r.Entries, func(i, j int) bool {
-		ti, tj := r.Entries[i].ringTime(), r.Entries[j].ringTime()
-		if !ti.Equal(tj) {
-			return ti.After(tj)
-		}
-		return r.Entries[i].ringKey() < r.Entries[j].ringKey()
-	})
-	if len(r.Entries) > r.K {
-		r.Entries = r.Entries[:r.K]
-	}
+// Compare orders the recent-error ring newest first, then by package and
+// message.
+func (e RecentError) Compare(o RecentError) int {
+	return cmp.Or(o.Time.Compare(e.Time), cmp.Compare(e.Package, o.Package), cmp.Compare(e.Err, o.Err))
 }

@@ -14,6 +14,11 @@
 // single-fleet report. Merging the per-shard snapshots of a partitioned
 // corpus reproduces the unpartitioned aggregate exactly (see Merge and
 // the associativity property tests).
+//
+// The snapshot builds on the shared primitives of internal/metrics: stage
+// latencies are metrics.Hist, and the slowest-analyses list and the
+// recent DCL and error rings are metrics.Ring, ordered by every
+// serialized field so merges serialize identically in any order.
 package telemetry
 
 import (
@@ -21,7 +26,7 @@ import (
 	"time"
 
 	"github.com/dydroid/dydroid/internal/core"
-	"github.com/dydroid/dydroid/internal/events"
+	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/trace"
 )
@@ -171,7 +176,7 @@ func (a *Aggregator) ObserveApp(res *core.AppResult, tr *trace.Trace) {
 		tr.Root.Walk(func(sp *trace.Span) {
 			h := s.Stages[sp.Name]
 			if h == nil {
-				h = &Hist{}
+				h = &metrics.Hist{}
 				s.Stages[sp.Name] = h
 			}
 			h.Observe(sp.Duration())
@@ -260,22 +265,20 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		Apps:         s.Apps,
 		Errors:       s.Errors,
 		Counters:     make(map[string]int64, len(s.Counters)),
-		Stages:       make(map[string]*Hist, len(s.Stages)),
+		Stages:       make(map[string]*metrics.Hist, len(s.Stages)),
 		Costs:        make(map[string]*StageCost, len(s.Costs)),
 		TopEntities:  TopK{K: s.TopEntities.K, Entries: append([]TopEntry(nil), s.TopEntities.Entries...)},
-		SlowestApps:  TopApps{K: s.SlowestApps.K, Entries: append([]SlowApp(nil), s.SlowestApps.Entries...)},
-		RecentDCL:    Ring[RecentDCL]{K: s.RecentDCL.K, Entries: append([]RecentDCL(nil), s.RecentDCL.Entries...)},
-		RecentErrors: Ring[RecentError]{K: s.RecentErrors.K, Entries: append([]RecentError(nil), s.RecentErrors.Entries...)},
-		Events:       events.Log{K: s.Events.K, Entries: append([]events.Event(nil), s.Events.Entries...)},
+		SlowestApps:  s.SlowestApps.Clone(),
+		RecentDCL:    s.RecentDCL.Clone(),
+		RecentErrors: s.RecentErrors.Clone(),
+		Events:       s.Events.Clone(),
 		SLO:          s.SLO.clone(),
 	}
 	for k, v := range s.Counters {
 		cp.Counters[k] = v
 	}
 	for name, h := range s.Stages {
-		hc := *h
-		hc.Buckets = append([]int64(nil), h.Buckets...)
-		cp.Stages[name] = &hc
+		cp.Stages[name] = h.Clone()
 	}
 	for name, sc := range s.Costs {
 		scc := *sc

@@ -113,20 +113,6 @@ func TestNilAggregatorIsNoOp(t *testing.T) {
 	}
 }
 
-func TestHistMatchesMetricsBuckets(t *testing.T) {
-	h := &Hist{}
-	reg := metrics.New()
-	for _, d := range []time.Duration{3 * time.Microsecond, 900 * time.Microsecond, 12 * time.Millisecond, 12 * time.Millisecond} {
-		h.Observe(d)
-		reg.Observe("stage", d)
-	}
-	want := reg.HistSnapshot("stage")
-	if h.Count != want.Count || h.Quantile(0.5) != want.P50 || time.Duration(h.MaxNS) != want.Max {
-		t.Fatalf("hist (count=%d p50=%v max=%v) disagrees with metrics (count=%d p50=%v max=%v)",
-			h.Count, h.Quantile(0.5), time.Duration(h.MaxNS), want.Count, want.P50, want.Max)
-	}
-}
-
 func TestTopKSpaceSaving(t *testing.T) {
 	tk := TopK{K: 2}
 	for i := 0; i < 5; i++ {
