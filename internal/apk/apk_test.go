@@ -128,6 +128,23 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzParse feeds arbitrary bytes to Parse, the first thing the vetting
+// daemon does with an untrusted upload. Hostile input may be rejected but
+// must never panic, and an accepted archive always carries a manifest.
+// The seed corpus in testdata/fuzz/FuzzParse holds a valid APK, a
+// truncated one and an empty input.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if a == nil || a.Manifest.Package == "" {
+			t.Fatalf("Parse accepted %d bytes without a manifest: %+v", len(data), a)
+		}
+	})
+}
+
 func TestParseRequiresManifest(t *testing.T) {
 	var buf bytes.Buffer
 	zw := newZipWith(&buf, map[string][]byte{"classes.dex": {1}})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -294,6 +295,21 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			if ea.Path != eb.Path || ea.Entity != eb.Entity || ea.Provenance != eb.Provenance {
 				t.Fatalf("record %d event %d differs: %+v vs %+v", i, j, ea, eb)
 			}
+		}
+	}
+	// The run's aggregates depend only on the corpus too: the Table II
+	// status tallies and how many spans each stage produced.
+	s1, s8 := r1.RunStats, r8.RunStats
+	if !maps.Equal(s1.StatusCounts, s8.StatusCounts) {
+		t.Errorf("status counts differ between worker counts:\n1: %v\n8: %v", s1.StatusCounts, s8.StatusCounts)
+	}
+	if len(s1.StageQuantiles) == 0 || len(s1.StageQuantiles) != len(s8.StageQuantiles) {
+		t.Fatalf("span names differ between worker counts: %d vs %d", len(s1.StageQuantiles), len(s8.StageQuantiles))
+	}
+	for name, q1 := range s1.StageQuantiles {
+		q8, ok := s8.StageQuantiles[name]
+		if !ok || q1.Count != q8.Count {
+			t.Errorf("span %q count differs between worker counts: %d vs %d (present %v)", name, q1.Count, q8.Count, ok)
 		}
 	}
 }
