@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -413,7 +414,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 // name ("" when no node has one).
 func (c *Coordinator) fetchWorkerTrace(digest string) (*trace.Trace, string) {
 	for _, m := range c.candidates(digest) {
-		resp, err := c.client.Get(m.baseURL + "/v1/trace/" + digest)
+		resp, err := c.client.Get(m.baseURL + "/v1/trace/" + url.PathEscape(digest))
 		if err != nil {
 			c.noteForward(m, err)
 			continue
@@ -443,7 +444,7 @@ func (c *Coordinator) proxyRead(w http.ResponseWriter, digest, path string) {
 	var lastErr error
 	sawMiss := false
 	for _, m := range c.candidates(digest) {
-		resp, err := c.client.Get(m.baseURL + path + digest)
+		resp, err := c.client.Get(m.baseURL + path + url.PathEscape(digest))
 		if err != nil {
 			lastErr = err
 			c.noteForward(m, err)

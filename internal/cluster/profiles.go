@@ -3,6 +3,7 @@ package cluster
 import (
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 
@@ -99,9 +100,9 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	path := "/v1/profiles/" + id
+	path := "/v1/profiles/" + url.PathEscape(id)
 	if f := r.URL.Query().Get("format"); f != "" {
-		path += "?format=" + f
+		path += "?" + url.Values{"format": {f}}.Encode()
 	}
 	var lastErr error
 	sawMiss := false

@@ -249,3 +249,43 @@ func TestCoordinatorMetriczAndPprof(t *testing.T) {
 		t.Fatalf("pprof index = %d\n%.200s", resp.StatusCode, body)
 	}
 }
+
+// TestCoordinatorForwardsEscapedPathValues: the coordinator forwards the
+// path value it was asked for, escaped, never a decoded "?" that turns
+// into a query on the member. An escaped "?format=pprof" in a window ID,
+// or a "?" tail on a digest, names no window or verdict and answers 404,
+// while the plain reads still answer 200.
+func TestCoordinatorForwardsEscapedPathValues(t *testing.T) {
+	_, ts, rec := profiledWorker(t, "workerA")
+	if w := rec.Capture(profile.TriggerSampler, "", ""); w.ID != "w000001" || len(w.Pprof) == 0 {
+		t.Fatalf("capture = %s err=%q", w.ID, w.Err)
+	}
+	coord, err := New(Config{Nodes: []string{ts.URL}, ProbeInterval: time.Hour, Metrics: metrics.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+	digests := scanAll(t, cts.URL, [][]byte{tinyAPK(t, "com.escape.path")})
+	awaitAll(t, cts.URL, digests)
+	digest := digests[0]
+
+	for path, want := range map[string]int{
+		"/v1/profiles/w000001":                http.StatusOK,
+		"/v1/profiles/w000001%3Fformat=pprof": http.StatusNotFound,
+		"/v1/result/" + digest:                http.StatusOK,
+		"/v1/result/" + digest + "%3Fx=1":     http.StatusNotFound,
+		"/v1/trace/" + digest + "%3Fx=1":      http.StatusNotFound,
+	} {
+		resp, err := http.Get(cts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -20,7 +21,6 @@ import (
 	"github.com/dydroid/dydroid/internal/nativebin"
 	"github.com/dydroid/dydroid/internal/netsim"
 	"github.com/dydroid/dydroid/internal/obfuscation"
-	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/taint"
 	"github.com/dydroid/dydroid/internal/trace"
 	"github.com/dydroid/dydroid/internal/vm"
@@ -91,7 +91,7 @@ func (a *Analyzer) AnalyzeAPK(apkBytes []byte) (*AppResult, error) {
 // none) with one child span per executed pipeline stage, and stores the
 // resulting span tree in AppResult.Trace.
 func (a *Analyzer) AnalyzeAPKContext(ctx context.Context, apkBytes []byte) (*AppResult, error) {
-	ctx, span := a.startStage(ctx, "analyze", "app.total", false)
+	ctx, span := a.startStage(ctx, "analyze", "app.total")
 	res, err := a.analyzeAPK(ctx, apkBytes)
 	if err != nil {
 		span.end(err)
@@ -107,30 +107,29 @@ func (a *Analyzer) AnalyzeAPKContext(ctx context.Context, apkBytes []byte) (*App
 }
 
 // stage is one open pipeline stage. Its span is the stage's only clock:
-// end closes the profiling meter and the span, then feeds the span's own
-// duration to the stage's histogram, so the trace, the metrics registry
-// and the cost table all account the same interval.
+// end feeds the span's own duration to the stage's histogram. While it is
+// open its goroutine carries the pprof label stage=<span name>, so CPU
+// profile samples attribute to it.
 type stage struct {
 	*trace.Span
 	reg    *metrics.Registry
-	metric string // histogram fed on end; "" feeds none
-	meter  func()
+	metric string          // histogram fed on end; "" feeds none
+	parent context.Context // its labels are restored on end
 }
 
-// startStage opens the span name under ctx. metered stages carry the
-// profiling meter's cost attrs.
-func (a *Analyzer) startStage(ctx context.Context, name, metric string, metered bool) (context.Context, stage) {
-	ctx, sp := trace.Start(ctx, name)
-	st := stage{Span: sp, reg: a.opts.Metrics, metric: metric, meter: func() {}}
-	if metered {
-		st.meter = profile.MeterSpan(sp)
-	}
+// startStage opens the span name under ctx and labels the goroutine
+// stage=name; the returned ctx carries both.
+func (a *Analyzer) startStage(ctx context.Context, name, metric string) (context.Context, stage) {
+	st := stage{reg: a.opts.Metrics, metric: metric, parent: ctx}
+	ctx, st.Span = trace.Start(ctx, name)
+	ctx = pprof.WithLabels(ctx, pprof.Labels("stage", name))
+	pprof.SetGoroutineLabels(ctx)
 	return ctx, st
 }
 
 // end closes the stage, recording err as its failure when non-nil.
 func (s stage) end(err error) {
-	s.meter()
+	pprof.SetGoroutineLabels(s.parent)
 	s.EndErr(err)
 	if s.metric != "" {
 		s.reg.Observe(s.metric, s.Duration())
@@ -140,7 +139,7 @@ func (s stage) end(err error) {
 func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult, error) {
 	res := &AppResult{}
 
-	_, sUnpack := a.startStage(ctx, "unpack", "stage.unpack", true)
+	_, sUnpack := a.startStage(ctx, "unpack", "stage.unpack")
 	u, err := a.opts.Tool.Unpack(apkBytes)
 	if err != nil {
 		if errors.Is(err, apktool.ErrDecompile) {
@@ -177,7 +176,7 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 	// archive is serialized lazily (once) when the installer needs bytes.
 	runPrep := prep
 	if !u.APK.Manifest.HasPermission(apk.WriteExternalStorage) {
-		_, sRewrite := a.startStage(ctx, "rewrite", "stage.rewrite", true)
+		_, sRewrite := a.startStage(ctx, "rewrite", "stage.rewrite")
 		rewritten, err := a.opts.Tool.RepackParsed(u.APK)
 		if err != nil {
 			if errors.Is(err, apktool.ErrRepack) {
@@ -195,7 +194,7 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 
 	// Dynamic phase, with one retry after cleaning external storage when
 	// the device runs out of space (automatic exception handling).
-	dctx, sDynamic := a.startStage(ctx, "dynamic", "stage.dynamic", true)
+	dctx, sDynamic := a.startStage(ctx, "dynamic", "stage.dynamic")
 	run, err := a.runDynamic(dctx, runPrep, nil)
 	if err != nil && isNoSpace(err) {
 		a.opts.Metrics.Add("dynamic.nospace-retries", 1)
@@ -233,7 +232,7 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 		res.Status = StatusExercised
 	}
 
-	_, sStatic := a.startStage(ctx, "static", "stage.static", true)
+	_, sStatic := a.startStage(ctx, "static", "stage.static")
 	a.staticOnIntercepted(res)
 	minSDK := u.APK.Manifest.MinSDK
 	res.Vulns = AnalyzeVulnerabilities(res.Package, minSDK, res.Events)
@@ -352,7 +351,7 @@ func (a *Analyzer) runDynamic(ctx context.Context, prep *PreparedApp, preLaunch 
 	}
 	mres := monkey.Exercise(machine, a.opts.MonkeyEvents, a.opts.Seed)
 
-	_, sIntercept := a.startStage(ctx, "interception", "", true)
+	_, sIntercept := a.startStage(ctx, "interception", "")
 	logger.FinalizeInterception()
 	events := logger.Events()
 	tracker.Annotate(events)
@@ -486,7 +485,7 @@ func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp,
 	if releaseDate.IsZero() {
 		releaseDate = DefaultReleaseDate
 	}
-	ctx, span := a.startStage(ctx, "replay", "stage.replay", true)
+	ctx, span := a.startStage(ctx, "replay", "stage.replay")
 	span.SetAttr("config", string(cfg))
 	run, err := a.runDynamic(ctx, prep, func(dev *android.Device) {
 		switch cfg {

@@ -2,6 +2,6 @@
 
 package profile
 
-// processCPUNanos has no portable implementation off unix; attribution
-// degrades to alloc-only there (CPU deltas read as 0).
+// processCPUNanos has no portable implementation off unix; window CPU
+// deltas read as 0 there (the pprof samples still carry CPU time).
 func processCPUNanos() int64 { return 0 }

@@ -1,11 +1,12 @@
 // pprof.go decodes the subset of the gzipped pprof protobuf
-// (profile.proto) that a CPU-profile summary needs: sample stacks,
-// locations, functions and the string table. Decoding in-process — with a
-// hand-rolled wire-format reader rather than a generated protobuf
-// binding — keeps the profile ring self-describing: every stored window
-// carries a parsed top-functions table (flat/cum self-time by function)
-// that dashboards, the CLI and regression diffs can compare without any
-// pprof tooling on the box.
+// (profile.proto) that a CPU-profile summary needs: sample stacks and
+// labels, locations, functions and the string table. Decoding in-process
+// — with a hand-rolled wire-format reader rather than a generated
+// protobuf binding — keeps the profile ring self-describing: every
+// stored window carries a parsed top-functions table (flat/cum self-time
+// by function) and CPU by pipeline stage (the samples' stage label) that
+// dashboards, the CLI and regression diffs can compare without any pprof
+// tooling on the box.
 package profile
 
 import (
@@ -40,6 +41,10 @@ type Summary struct {
 	// Top holds the hottest functions by flat self-time, bounded by the
 	// recorder's TopN.
 	Top []FuncCost `json:"top,omitempty"`
+	// StageNS sums CPU time by the samples' pprof "stage" label, which
+	// the pipeline sets to the open stage's span name. Unlabelled samples
+	// land in no stage.
+	StageNS map[string]int64 `json:"stage_ns,omitempty"`
 }
 
 // TopFunc names the hottest function ("" for an empty window) — the
@@ -80,21 +85,19 @@ func ParseCPUProfile(raw []byte, topN int) (*Summary, error) {
 // ---- decoded profile model (only the fields summaries need) ----
 
 type protoProfile struct {
-	sampleTypes []valueType // parallel to each sample's value vector
+	sampleUnits []int64 // unit string index, parallel to each sample's value vector
 	samples     []protoSample
 	locations   map[uint64][]uint64 // location id -> function ids, innermost first
 	functions   map[uint64]int64    // function id -> name string index
 	strings     []string
 	durationNS  int64
-	periodType  valueType
 	period      int64
 }
-
-type valueType struct{ typ, unit int64 } // string-table indices
 
 type protoSample struct {
 	locationIDs []uint64 // leaf first
 	values      []int64
+	labels      [][2]int64 // string labels as (key, value) string indices
 }
 
 func (p *protoProfile) str(i int64) string {
@@ -108,9 +111,9 @@ func (p *protoProfile) str(i int64) string {
 // CPU time: the last sample_type whose unit is "nanoseconds", else the
 // last value (scaled by period via scale=true).
 func (p *protoProfile) valueIndex() (idx int, inNanos bool) {
-	idx = len(p.sampleTypes) - 1
-	for i, st := range p.sampleTypes {
-		if p.str(st.unit) == "nanoseconds" {
+	idx = len(p.sampleUnits) - 1
+	for i, unit := range p.sampleUnits {
+		if p.str(unit) == "nanoseconds" {
 			idx, inNanos = i, true
 		}
 	}
@@ -145,6 +148,14 @@ func (p *protoProfile) summarize(topN int) (*Summary, error) {
 		}
 		s.Samples++
 		s.TotalNS += v
+		for _, l := range sm.labels {
+			if stage := p.str(l[1]); stage != "" && p.str(l[0]) == "stage" {
+				if s.StageNS == nil {
+					s.StageNS = map[string]int64{}
+				}
+				s.StageNS[stage] += v
+			}
+		}
 		clear(seen)
 		for li, locID := range sm.locationIDs {
 			fnIDs := p.locations[locID]
@@ -195,14 +206,16 @@ const (
 	fProfileFunction   = 5
 	fProfileStringTab  = 6
 	fProfileDuration   = 10
-	fProfilePeriodType = 11
 	fProfilePeriod     = 12
 
-	fValueTypeType = 1
 	fValueTypeUnit = 2
 
 	fSampleLocationID = 1
 	fSampleValue      = 2
+	fSampleLabel      = 3
+
+	fLabelKey = 1
+	fLabelStr = 2
 
 	fLocationID   = 1
 	fLocationLine = 4
@@ -218,14 +231,14 @@ func parseProfileProto(body []byte) (*protoProfile, error) {
 		locations: map[uint64][]uint64{},
 		functions: map[uint64]int64{},
 	}
-	err := eachField(body, func(field int, wire int, varint uint64, chunk []byte) error {
+	err := eachField(body, func(field, _ int, varint uint64, chunk []byte) error {
 		switch field {
 		case fProfileSampleType:
-			vt, err := parseValueType(chunk)
+			unit, err := parseValueTypeUnit(chunk)
 			if err != nil {
 				return err
 			}
-			p.sampleTypes = append(p.sampleTypes, vt)
+			p.sampleUnits = append(p.sampleUnits, unit)
 		case fProfileSample:
 			sm, err := parseSample(chunk)
 			if err != nil {
@@ -248,16 +261,9 @@ func parseProfileProto(body []byte) (*protoProfile, error) {
 			p.strings = append(p.strings, string(chunk))
 		case fProfileDuration:
 			p.durationNS = int64(varint)
-		case fProfilePeriodType:
-			vt, err := parseValueType(chunk)
-			if err != nil {
-				return err
-			}
-			p.periodType = vt
 		case fProfilePeriod:
 			p.period = int64(varint)
 		}
-		_ = wire
 		return nil
 	})
 	if err != nil {
@@ -266,18 +272,16 @@ func parseProfileProto(body []byte) (*protoProfile, error) {
 	return p, nil
 }
 
-func parseValueType(b []byte) (valueType, error) {
-	var vt valueType
-	err := eachField(b, func(field, wire int, v uint64, _ []byte) error {
-		switch field {
-		case fValueTypeType:
-			vt.typ = int64(v)
-		case fValueTypeUnit:
-			vt.unit = int64(v)
+// parseValueTypeUnit returns a ValueType's unit string index; its type
+// name is not needed to pick the CPU-time value.
+func parseValueTypeUnit(b []byte) (unit int64, err error) {
+	err = eachField(b, func(field, _ int, v uint64, _ []byte) error {
+		if field == fValueTypeUnit {
+			unit = int64(v)
 		}
 		return nil
 	})
-	return vt, err
+	return unit, err
 }
 
 func parseSample(b []byte) (protoSample, error) {
@@ -298,6 +302,21 @@ func parseSample(b []byte) (protoSample, error) {
 				})
 			}
 			sm.values = append(sm.values, int64(v))
+		case fSampleLabel:
+			var l [2]int64
+			err := eachField(chunk, func(lf, _ int, lv uint64, _ []byte) error {
+				switch lf {
+				case fLabelKey:
+					l[0] = int64(lv)
+				case fLabelStr:
+					l[1] = int64(lv)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			sm.labels = append(sm.labels, l)
 		}
 		return nil
 	})

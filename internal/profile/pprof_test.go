@@ -3,12 +3,22 @@ package profile
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
+	"reflect"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 )
 
 // ---- tiny profile.proto encoder (test-only) ----
+
+// profile.proto fields the decoder skips but real profiles carry.
+const (
+	fProfilePeriodType = 11
+	fValueTypeType     = 1
+	fLabelNum          = 3
+)
 
 type protoBuf struct{ b []byte }
 
@@ -43,15 +53,18 @@ func valueTypeMsg(typ, unit int64) []byte {
 // testProfile builds a deterministic CPU profile:
 //
 //	strings: 1=samples 2=count 3=cpu 4=nanoseconds 5=fnA 6=fnB 7=fnC
+//	         8=stage 9=dynamic 10=interception 11=worker 12=w1 13=bytes
 //	locations: 1->[fnA] 2->[fnB] 3->[fnC,fnB] (fnC inlined into fnB)
-//	samples: [locA,locB] 10ms · [loc3,locB] 20ms · [locA,locA] 5ms
+//	samples: [locA,locB] 10ms {stage=dynamic}
+//	         [loc3,locB] 20ms {stage=interception, worker=w1}
+//	         [locA,locA]  5ms {bytes=512} (no stage label)
 func testProfile(t *testing.T) []byte {
 	t.Helper()
 	var p protoBuf
 	p.bytesField(fProfileSampleType, valueTypeMsg(1, 2)) // samples/count
 	p.bytesField(fProfileSampleType, valueTypeMsg(3, 4)) // cpu/nanoseconds
 
-	sample := func(locs []uint64, count, ns int64, packed bool) {
+	sample := func(locs []uint64, count, ns int64, packed bool, labels ...[]byte) {
 		var s protoBuf
 		if packed {
 			var ids protoBuf
@@ -68,11 +81,23 @@ func testProfile(t *testing.T) []byte {
 		vals.varint(uint64(count))
 		vals.varint(uint64(ns))
 		s.bytesField(fSampleValue, vals.b)
+		for _, l := range labels {
+			s.bytesField(fSampleLabel, l)
+		}
 		p.bytesField(fProfileSample, s.b)
 	}
-	sample([]uint64{1, 2}, 1, (10 * time.Millisecond).Nanoseconds(), true)
-	sample([]uint64{3, 2}, 2, (20 * time.Millisecond).Nanoseconds(), false)
-	sample([]uint64{1, 1}, 1, (5 * time.Millisecond).Nanoseconds(), true)
+	label := func(key, field int, v int64) []byte {
+		var l protoBuf
+		l.intField(fLabelKey, int64(key))
+		l.intField(field, v)
+		return l.b
+	}
+	sample([]uint64{1, 2}, 1, (10 * time.Millisecond).Nanoseconds(), true,
+		label(8, fLabelStr, 9))
+	sample([]uint64{3, 2}, 2, (20 * time.Millisecond).Nanoseconds(), false,
+		label(11, fLabelStr, 12), label(8, fLabelStr, 10))
+	sample([]uint64{1, 1}, 1, (5 * time.Millisecond).Nanoseconds(), true,
+		label(13, fLabelNum, 512))
 
 	loc := func(id uint64, fnIDs ...uint64) {
 		var l protoBuf
@@ -98,7 +123,8 @@ func testProfile(t *testing.T) []byte {
 	fn(2, 6)
 	fn(3, 7)
 
-	for _, s := range []string{"", "samples", "count", "cpu", "nanoseconds", "fnA", "fnB", "fnC"} {
+	for _, s := range []string{"", "samples", "count", "cpu", "nanoseconds", "fnA", "fnB", "fnC",
+		"stage", "dynamic", "interception", "worker", "w1", "bytes"} {
 		p.bytesField(fProfileStringTab, []byte(s))
 	}
 	p.intField(fProfileDuration, (250 * time.Millisecond).Nanoseconds())
@@ -170,6 +196,23 @@ func TestParseCPUProfileSummary(t *testing.T) {
 	}
 }
 
+// TestParseCPUProfileStageCPU pins CPU by stage label: each labelled
+// sample's time lands on its stage, other label keys are ignored, and the
+// unlabelled sample lands in no stage.
+func TestParseCPUProfileStageCPU(t *testing.T) {
+	raw := testProfile(t)
+	for _, data := range [][]byte{raw, gzipBytes(t, raw)} {
+		s, err := ParseCPUProfile(data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int64{"dynamic": 10e6, "interception": 20e6}
+		if !reflect.DeepEqual(s.StageNS, want) {
+			t.Fatalf("stage cpu = %v, want %v", s.StageNS, want)
+		}
+	}
+}
+
 func TestParseCPUProfileTopN(t *testing.T) {
 	s, err := ParseCPUProfile(testProfile(t), 1)
 	if err != nil {
@@ -203,14 +246,37 @@ func TestParseCPUProfileRejectsNonCPU(t *testing.T) {
 	}
 }
 
+// FuzzParseCPUProfile feeds arbitrary bytes to ParseCPUProfile, which
+// decodes every window the profile ring stores and every profile the
+// CLI loads from disk. Input may be rejected but must never panic; an
+// accepted profile yields a summary within its topN bound, and
+// gzip-wrapping the same bytes changes nothing. The seed corpus in
+// testdata/fuzz/FuzzParseCPUProfile holds the labelled fixture, its gzip
+// form, a truncated copy and an empty input.
+func FuzzParseCPUProfile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := ParseCPUProfile(raw, 3)
+		if err == nil && (s == nil || s.Samples < 0 || len(s.Top) > 3) {
+			t.Fatalf("accepted profile gave summary %+v", s)
+		}
+		if len(raw) >= 2 && raw[0] == 0x1f && raw[1] == 0x8b {
+			return // already gzipped: the wrapped form would be unwrapped once only
+		}
+		zs, zerr := ParseCPUProfile(gzipBytes(t, raw), 3)
+		if (err == nil) != (zerr == nil) || !reflect.DeepEqual(s, zs) {
+			t.Fatalf("gzip changed the parse: %+v, %v vs %+v, %v", s, err, zs, zerr)
+		}
+	})
+}
+
 // TestParseRealCPUProfile round-trips a live runtime/pprof window
 // through the decoder: whatever the runtime emitted must parse, and a
-// busy loop long enough to be sampled must yield samples.
+// busy loop under the pprof label stage=busy must be sampled under it.
 func TestParseRealCPUProfile(t *testing.T) {
 	r := New(Options{WindowDur: 80 * time.Millisecond})
 	stop := make(chan struct{})
-	go func() { // keep a core busy so the window has something to sample
-		x := 0
+	go pprof.Do(context.Background(), pprof.Labels("stage", "busy"), func(context.Context) {
+		x := 0 // keep a core busy so the window has something to sample
 		for {
 			select {
 			case <-stop:
@@ -219,16 +285,24 @@ func TestParseRealCPUProfile(t *testing.T) {
 				x++
 			}
 		}
-	}()
+	})
 	defer close(stop)
-	w := r.Capture(TriggerSampler, "", "")
-	if w.Err != "" {
-		t.Fatalf("capture error: %s", w.Err)
+	// A loaded host may deliver no sample to the busy goroutine in one
+	// window; a few windows make a miss vanishingly unlikely.
+	for i := 0; i < 5; i++ {
+		w := r.Capture(TriggerSampler, "", "")
+		if w.Err != "" {
+			t.Fatalf("capture error: %s", w.Err)
+		}
+		if len(w.Pprof) == 0 {
+			t.Fatal("no pprof bytes captured")
+		}
+		if w.Summary == nil {
+			t.Fatal("live profile produced no summary")
+		}
+		if w.Summary.StageNS["busy"] > 0 {
+			return
+		}
 	}
-	if len(w.Pprof) == 0 {
-		t.Fatal("no pprof bytes captured")
-	}
-	if w.Summary == nil {
-		t.Fatal("live profile produced no summary")
-	}
+	t.Fatal("no CPU attributed to the stage=busy label in 5 windows")
 }

@@ -9,10 +9,12 @@
 // and the coordinator's federated /v1/profiles all read the same
 // summaries.
 //
-// The package also owns per-stage resource attribution: MeterSpan wraps
-// a pipeline stage span and stamps cpu.ns / alloc.bytes / alloc.objects
-// attrs from process-scoped deltas, which telemetry folds into the
-// mergeable cost-per-stage table.
+// CPU by pipeline stage rides in the same windows. The pipeline runs each
+// stage under the runtime/pprof goroutine label stage=<span name>, so a
+// window's summary also sums its samples by that label: exact under
+// concurrent workers, and no per-stage cost beyond setting the label.
+// `apkinspect profile top <id>` prints it under the function table;
+// `go tool pprof -tags` reads the same label from the raw bytes.
 package profile
 
 import (

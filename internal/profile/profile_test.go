@@ -9,7 +9,6 @@ import (
 
 	"github.com/dydroid/dydroid/internal/events"
 	"github.com/dydroid/dydroid/internal/metrics"
-	"github.com/dydroid/dydroid/internal/trace"
 )
 
 // stubRecorder returns a recorder whose profiler hands back the canned
@@ -158,33 +157,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
-func TestMeterSpanStampsCostAttrs(t *testing.T) {
-	tr := trace.New("scan")
-	sp := tr.Root.StartChild("unpack")
-	stop := MeterSpan(sp)
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	stop()
-	stop() // second call is a no-op
-	sp.End()
-	_ = sink
-	if sp.Attr(AttrCPUNS) == "" || sp.Attr(AttrAllocBytes) == "" || sp.Attr(AttrAllocObjects) == "" {
-		t.Fatalf("missing cost attrs: %+v", sp.Attrs)
-	}
-	// Alloc accounting aggregates per-P caches, so allow slack below the
-	// nominal 64 KiB allocated above.
-	if got := sp.IntAttr(AttrAllocBytes); got < 32*1024 {
-		t.Fatalf("alloc.bytes = %d, want >= %d", got, 32*1024)
-	}
-	if sp.IntAttr(AttrCPUNS) < 0 || sp.IntAttr(AttrAllocObjects) < 32 {
-		t.Fatalf("cpu.ns=%d alloc.objects=%d", sp.IntAttr(AttrCPUNS), sp.IntAttr(AttrAllocObjects))
-	}
-	// A nil span meters to a no-op.
-	MeterSpan(nil)()
-}
-
 func TestRenderTopAndDiff(t *testing.T) {
 	r, clock := stubRecorder(t, Options{Node: "w1"})
 	oldW := r.Capture(TriggerSampler, "", "")
@@ -195,7 +167,8 @@ func TestRenderTopAndDiff(t *testing.T) {
 
 	var top strings.Builder
 	RenderTop(&top, newW, 10)
-	for _, want := range []string{"trigger=watchdog", "digest=deadbeef", "fnC", "top functions by flat self-time"} {
+	for _, want := range []string{"trigger=watchdog", "digest=deadbeef", "fnC", "top functions by flat self-time",
+		"cpu by pipeline stage", "interception", "57.1%"} {
 		if !strings.Contains(top.String(), want) {
 			t.Fatalf("top output missing %q:\n%s", want, top.String())
 		}

@@ -28,7 +28,8 @@ func RenderIndex(w io.Writer, metas []Meta) {
 }
 
 // RenderTop writes one window's top-functions table with its capture
-// context — the `apkinspect profile top` view and the CI artifact.
+// context, then its CPU by pipeline stage — the `apkinspect profile top`
+// view and the CI artifact.
 func RenderTop(w io.Writer, win *Window, n int) {
 	fmt.Fprintf(w, "window %s  node=%s  trigger=%s", win.ID, win.Node, win.Trigger)
 	if win.Digest != "" {
@@ -60,6 +61,25 @@ func RenderTop(w io.Writer, win *Window, n int) {
 			time.Duration(fc.CumNS), pctOf(fc.CumNS, s.TotalNS))
 	}
 	fmt.Fprint(w, t.String())
+	if len(s.StageNS) == 0 {
+		return
+	}
+	stages := make([]string, 0, len(s.StageNS))
+	for name := range s.StageNS {
+		stages = append(stages, name)
+	}
+	sort.Slice(stages, func(i, j int) bool {
+		a, b := s.StageNS[stages[i]], s.StageNS[stages[j]]
+		if a != b {
+			return a > b
+		}
+		return stages[i] < stages[j]
+	})
+	t = stats.NewTable("cpu by pipeline stage (pprof label stage)", "STAGE", "CPU", "CPU%")
+	for _, name := range stages {
+		t.Row(name, time.Duration(s.StageNS[name]), pctOf(s.StageNS[name], s.TotalNS))
+	}
+	fmt.Fprint(w, "\n", t.String())
 }
 
 // RenderDiff writes the regression view between two windows: per

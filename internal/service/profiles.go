@@ -2,11 +2,8 @@ package service
 
 import (
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"time"
 
 	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/telemetry"
@@ -60,40 +57,6 @@ func (s *Server) sloTriggers(digest string) {
 			continue
 		}
 		s.cfg.Profiles.TryTrigger(profile.TriggerSLOPrefix+rep.Name, digest, TraceID(digest))
-	}
-}
-
-// writeCostProm appends the per-stage resource-attribution gauges to a
-// Prometheus exposition, one labelled series per metered pipeline stage.
-func (s *Server) writeCostProm(w io.Writer) {
-	costs := s.cfg.Fleet.Snapshot().Costs
-	if len(costs) == 0 {
-		return
-	}
-	names := make([]string, 0, len(costs))
-	for name := range costs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, g := range []struct {
-		metric string
-		value  func(*telemetry.StageCost) int64
-	}{
-		{"dydroid_stage_cost_spans", func(c *telemetry.StageCost) int64 { return c.Count }},
-		{"dydroid_stage_cost_cpu_seconds", nil}, // rendered as float below
-		{"dydroid_stage_cost_alloc_bytes", func(c *telemetry.StageCost) int64 { return c.AllocBytes }},
-		{"dydroid_stage_cost_alloc_objects", func(c *telemetry.StageCost) int64 { return c.AllocObjects }},
-	} {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", g.metric)
-		for _, name := range names {
-			c := costs[name]
-			if g.value == nil {
-				fmt.Fprintf(w, "%s{stage=%q} %g\n", g.metric, name,
-					float64(c.CPUNS)/float64(time.Second))
-				continue
-			}
-			fmt.Fprintf(w, "%s{stage=%q} %d\n", g.metric, name, g.value(c))
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/events"
 	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/profile"
@@ -179,42 +178,6 @@ func TestSLOBurnTriggersProfileCapture(t *testing.T) {
 		// A second window may still be in flight only if TryTrigger
 		// started one — assert via the suppression counter instead.
 		t.Fatalf("cooldown did not suppress the repeat trigger")
-	}
-}
-
-// TestMetriczServesStageCostGauges: per-stage attribution reaches the
-// Prometheus exposition as dydroid_stage_cost_* gauges.
-func TestMetriczServesStageCostGauges(t *testing.T) {
-	_, ts := newStubServer(t, Config{Workers: 1}, nil)
-	s, _ := http.Get(ts.URL + "/v1/metricz?format=prom")
-	body, _ := io.ReadAll(s.Body)
-	s.Body.Close()
-	if strings.Contains(string(body), "dydroid_stage_cost_") {
-		t.Fatal("cost gauges rendered with no metered spans")
-	}
-
-	srv, ts2 := newStubServer(t, Config{Workers: 1}, nil)
-	tr := trace.New("scan", trace.WithDigest("beef"))
-	sp := tr.Root.StartChild("dynamic")
-	sp.SetIntAttr(profile.AttrCPUNS, 1500000000) // 1.5s
-	sp.SetIntAttr(profile.AttrAllocBytes, 4096)
-	sp.SetIntAttr(profile.AttrAllocObjects, 16)
-	sp.End()
-	tr.Root.End()
-	srv.cfg.Fleet.ObserveApp(&core.AppResult{Package: "com.cost.app"}, tr)
-
-	resp, _ := http.Get(ts2.URL + "/v1/metricz?format=prom")
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		`dydroid_stage_cost_spans{stage="dynamic"} 1`,
-		`dydroid_stage_cost_cpu_seconds{stage="dynamic"} 1.5`,
-		`dydroid_stage_cost_alloc_bytes{stage="dynamic"} 4096`,
-		`dydroid_stage_cost_alloc_objects{stage="dynamic"} 16`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("prom exposition missing %q:\n%s", want, body)
-		}
 	}
 }
 

@@ -489,7 +489,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.writeSLOProm(w)
-		s.writeCostProm(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

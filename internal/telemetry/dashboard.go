@@ -61,16 +61,6 @@ type stageRow struct {
 	Mean, P50, P90, P99, Max string
 }
 
-// costRow is one stage's resource-attribution line.
-type costRow struct {
-	Name               string
-	Count              int64
-	CPU, CPUPerSpan    string
-	Allocs, AllocBytes string
-	// Pct is the stage's share of attributed CPU (meter width).
-	Pct float64
-}
-
 // sloRow is one objective's rendered burn-rate line.
 type sloRow struct {
 	Name       string
@@ -94,7 +84,6 @@ type dashView struct {
 	Prev     []barRow
 	Entities []barRow
 	Stages   []stageRow
-	Costs    []costRow
 	Slowest  []SlowApp
 	Recent   []RecentDCL
 	Errors   []RecentError
@@ -204,36 +193,6 @@ func RenderDashboard(w io.Writer, d DashboardData) error {
 			P99:  roundDur(h.Quantile(0.99)).String(),
 			Max:  roundDur(time.Duration(h.MaxNS)).String(),
 		})
-	}
-
-	costNames := make([]string, 0, len(s.Costs))
-	var cpuTotal int64
-	for name, sc := range s.Costs {
-		costNames = append(costNames, name)
-		cpuTotal += sc.CPUNS
-	}
-	sort.Slice(costNames, func(i, j int) bool {
-		a, b := s.Costs[costNames[i]], s.Costs[costNames[j]]
-		if a.CPUNS != b.CPUNS {
-			return a.CPUNS > b.CPUNS
-		}
-		return costNames[i] < costNames[j]
-	})
-	for _, name := range costNames {
-		sc := s.Costs[name]
-		row := costRow{
-			Name: name, Count: sc.Count,
-			CPU:        roundDur(time.Duration(sc.CPUNS)).String(),
-			Allocs:     fmt.Sprintf("%d", sc.AllocObjects),
-			AllocBytes: fmtBytes(sc.AllocBytes),
-		}
-		if sc.Count > 0 {
-			row.CPUPerSpan = roundDur(time.Duration(sc.CPUNS / sc.Count)).String()
-		}
-		if cpuTotal > 0 {
-			row.Pct = 100 * float64(sc.CPUNS) / float64(cpuTotal)
-		}
-		v.Costs = append(v.Costs, row)
 	}
 
 	for _, name := range sortedGaugeKeys(d.Gauges) {
@@ -424,14 +383,6 @@ var dashTmpl = template.Must(template.New("dash").Funcs(template.FuncMap{
 <table>
 <tr><th>span</th><th>count</th><th>mean</th><th>p50</th><th>p90</th><th>p99</th><th>max</th></tr>
 {{range .Stages}}<tr><td>{{.Name}}</td><td class="num">{{.Count}}</td><td class="num">{{.Mean}}</td><td class="num">{{.P50}}</td><td class="num">{{.P90}}</td><td class="num">{{.P99}}</td><td class="num">{{.Max}}</td></tr>
-{{end}}</table>
-</section>{{end}}
-
-{{if .Costs}}<section>
-<h2>Stage cost attribution</h2>
-<table>
-<tr><th>stage</th><th>spans</th><th>cpu</th><th>cpu/span</th><th>allocs</th><th>alloc bytes</th><th></th></tr>
-{{range .Costs}}<tr><td>{{.Name}}</td><td class="num">{{.Count}}</td><td class="num">{{.CPU}}</td><td class="num">{{.CPUPerSpan}}</td><td class="num">{{.Allocs}}</td><td class="num">{{.AllocBytes}}</td><td class="meter"><div style="width:{{printf "%.1f" .Pct}}%"></div></td></tr>
 {{end}}</table>
 </section>{{end}}
 

@@ -209,26 +209,3 @@ func TestMergeIdentity(t *testing.T) {
 		t.Fatalf("identity merge diverged:\n got: %.300s\nwant: %.300s", got, want)
 	}
 }
-
-// TestCostTableMergeEqualsSinglePass pins the attribution acceptance
-// property specifically: the per-stage cost table rendered from two
-// merged shards is byte-identical to the single-pass run's table.
-func TestCostTableMergeEqualsSinglePass(t *testing.T) {
-	union := ingest(t, 0, 80)
-	merged := mergeAll(t, ingest(t, 0, 37), ingest(t, 37, 80))
-	if len(union.Costs) == 0 {
-		t.Fatal("synthetic corpus aggregated no stage costs")
-	}
-	sc := union.Costs["analyze"]
-	if sc == nil || sc.Count == 0 || sc.CPUNS == 0 || sc.AllocBytes == 0 {
-		t.Fatalf("analyze stage cost not aggregated: %+v", sc)
-	}
-	if got, want := merged.CostReport(), union.CostReport(); got != want {
-		t.Fatalf("merged cost table diverges from single pass\n got:\n%s\nwant:\n%s", got, want)
-	}
-	gotJSON, _ := json.Marshal(merged.Costs)
-	wantJSON, _ := json.Marshal(union.Costs)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("merged Costs diverge:\n got: %s\nwant: %s", gotJSON, wantJSON)
-	}
-}

@@ -172,53 +172,12 @@ func (s *Snapshot) LatencyReport() string {
 	return b.String()
 }
 
-// CostReport renders the per-stage resource attribution table: CPU time
-// and allocations the profiling meter attributed to each pipeline
-// stage, totalled and per metered span. Like every aggregate it merges
-// exactly — the table of merged shards equals the single-pass table.
-func (s *Snapshot) CostReport() string {
-	if len(s.Costs) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(s.Costs))
-	var totalCPU int64
-	for name, sc := range s.Costs {
-		names = append(names, name)
-		totalCPU += sc.CPUNS
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if s.Costs[names[i]].CPUNS != s.Costs[names[j]].CPUNS {
-			return s.Costs[names[i]].CPUNS > s.Costs[names[j]].CPUNS
-		}
-		return names[i] < names[j]
-	})
-	t := stats.NewTable("Stage cost attribution (process-scoped deltas)",
-		"stage", "spans", "cpu", "cpu%", "cpu/span", "allocs", "alloc bytes")
-	for _, name := range names {
-		sc := s.Costs[name]
-		pct := "0.0%"
-		if totalCPU > 0 {
-			pct = fmt.Sprintf("%.1f%%", 100*float64(sc.CPUNS)/float64(totalCPU))
-		}
-		var per time.Duration
-		if sc.Count > 0 {
-			per = time.Duration(sc.CPUNS / sc.Count)
-		}
-		t.Row(name, sc.Count, roundDur(time.Duration(sc.CPUNS)), pct,
-			roundDur(per), sc.AllocObjects, sc.AllocBytes)
-	}
-	return t.String()
-}
-
 // Report renders the full fleet report: the deterministic measurement
-// tables followed by the latency and cost-attribution sections.
+// tables followed by the latency section.
 func (s *Snapshot) Report() string {
 	out := s.MeasurementReport()
 	if lat := s.LatencyReport(); lat != "" {
 		out += "\n" + lat
-	}
-	if cost := s.CostReport(); cost != "" {
-		out += "\n" + cost
 	}
 	return out
 }

@@ -51,13 +51,6 @@ type Snapshot struct {
 	// same Hist the metrics registry keeps.
 	Stages map[string]*metrics.Hist `json:"stages,omitempty"`
 
-	// Costs is the per-stage resource attribution table: CPU time and
-	// allocation deltas parsed from the cost attrs the profiling meter
-	// stamps on pipeline stage spans (cpu.ns / alloc.bytes /
-	// alloc.objects). Every field sums, so shard merges reproduce the
-	// single-pass table exactly.
-	Costs map[string]*StageCost `json:"costs,omitempty"`
-
 	// TopEntities is the space-saving sketch of the most common
 	// third-party DCL call sites (the SDK entities of Table IV).
 	TopEntities TopK `json:"top_entities"`
@@ -101,7 +94,6 @@ func NewSnapshot(topK, slowest, ring int) *Snapshot {
 		Shards:       1,
 		Counters:     make(map[string]int64),
 		Stages:       make(map[string]*metrics.Hist),
-		Costs:        make(map[string]*StageCost),
 		TopEntities:  TopK{K: topK},
 		SlowestApps:  metrics.Ring[SlowApp]{K: slowest},
 		RecentDCL:    metrics.Ring[RecentDCL]{K: ring},
@@ -138,20 +130,6 @@ func Merge(dst, src *Snapshot) error {
 			cur.Merge(h)
 		} else {
 			dst.Stages[name] = h.Clone()
-		}
-	}
-	if dst.Costs == nil && len(src.Costs) > 0 {
-		dst.Costs = make(map[string]*StageCost, len(src.Costs))
-	}
-	for name, sc := range src.Costs {
-		if cur, ok := dst.Costs[name]; ok {
-			cur.Count += sc.Count
-			cur.CPUNS += sc.CPUNS
-			cur.AllocBytes += sc.AllocBytes
-			cur.AllocObjects += sc.AllocObjects
-		} else {
-			cp := *sc
-			dst.Costs[name] = &cp
 		}
 	}
 	dst.TopEntities.Merge(src.TopEntities)
@@ -201,18 +179,6 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("telemetry: %s: snapshot version %d, want %d", path, s.Version, SnapshotVersion)
 	}
 	return s, nil
-}
-
-// StageCost is the mergeable resource bill of one pipeline stage:
-// how many metered spans were observed and the summed CPU-time and
-// allocation deltas across them. Deltas are process-scoped, so under
-// concurrent workers they are an upper bound per stage; ratios between
-// stages remain comparable because every stage is measured identically.
-type StageCost struct {
-	Count        int64 `json:"count"`
-	CPUNS        int64 `json:"cpu_ns"`
-	AllocBytes   int64 `json:"alloc_bytes"`
-	AllocObjects int64 `json:"alloc_objects"`
 }
 
 // TopEntry is one tracked key of a TopK sketch.

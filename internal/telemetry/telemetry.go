@@ -27,7 +27,6 @@ import (
 
 	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/metrics"
-	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/trace"
 )
 
@@ -180,19 +179,6 @@ func (a *Aggregator) ObserveApp(res *core.AppResult, tr *trace.Trace) {
 				s.Stages[sp.Name] = h
 			}
 			h.Observe(sp.Duration())
-			// Spans the profiling meter stamped contribute to the
-			// cost-per-stage attribution table.
-			if sp.Attr(profile.AttrCPUNS) != "" {
-				sc := s.Costs[sp.Name]
-				if sc == nil {
-					sc = &StageCost{}
-					s.Costs[sp.Name] = sc
-				}
-				sc.Count++
-				sc.CPUNS += sp.IntAttr(profile.AttrCPUNS)
-				sc.AllocBytes += sp.IntAttr(profile.AttrAllocBytes)
-				sc.AllocObjects += sp.IntAttr(profile.AttrAllocObjects)
-			}
 		})
 		s.SlowestApps.Observe(SlowApp{
 			Package: res.Package, Digest: tr.Digest, NS: int64(tr.Root.Duration()),
@@ -266,7 +252,6 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		Errors:       s.Errors,
 		Counters:     make(map[string]int64, len(s.Counters)),
 		Stages:       make(map[string]*metrics.Hist, len(s.Stages)),
-		Costs:        make(map[string]*StageCost, len(s.Costs)),
 		TopEntities:  TopK{K: s.TopEntities.K, Entries: append([]TopEntry(nil), s.TopEntities.Entries...)},
 		SlowestApps:  s.SlowestApps.Clone(),
 		RecentDCL:    s.RecentDCL.Clone(),
@@ -279,10 +264,6 @@ func (a *Aggregator) Snapshot() *Snapshot {
 	}
 	for name, h := range s.Stages {
 		cp.Stages[name] = h.Clone()
-	}
-	for name, sc := range s.Costs {
-		scc := *sc
-		cp.Costs[name] = &scc
 	}
 	return cp
 }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/metrics"
-	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/trace"
 )
 
@@ -19,11 +18,6 @@ import (
 func appTrace(digest string, base time.Time, total, analyze time.Duration) *trace.Trace {
 	root := &trace.Span{Name: "app", StartAt: base, EndAt: base.Add(total)}
 	child := &trace.Span{Name: "analyze", StartAt: base, EndAt: base.Add(analyze)}
-	// Deterministic cost attrs, as the profiling meter would stamp them,
-	// so the merge property tests cover the Costs table too.
-	child.SetIntAttr(profile.AttrCPUNS, int64(analyze))
-	child.SetIntAttr(profile.AttrAllocBytes, 4096)
-	child.SetIntAttr(profile.AttrAllocObjects, 16)
 	root.Children = []*trace.Span{child}
 	return &trace.Trace{ID: "t-" + digest, Digest: digest, Root: root}
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -255,20 +254,6 @@ func (s *Span) SetAttr(key, value string) {
 		}
 	}
 	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
-}
-
-// SetIntAttr annotates the span with an integer value (attrs are
-// strings on the wire; this is the decimal convenience used by the
-// resource-attribution meter).
-func (s *Span) SetIntAttr(key string, v int64) {
-	s.SetAttr(key, strconv.FormatInt(v, 10))
-}
-
-// IntAttr returns the named attribute parsed as a decimal integer
-// (0 when absent or non-numeric).
-func (s *Span) IntAttr(key string) int64 {
-	v, _ := strconv.ParseInt(s.Attr(key), 10, 64)
-	return v
 }
 
 // Attr returns the value of the named attribute ("" when absent).
