@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +173,30 @@ func TestOwnerOfInternalPath(t *testing.T) {
 	for _, tc := range tests {
 		if got := OwnerOfInternalPath(tc.path); got != tc.want {
 			t.Fatalf("OwnerOfInternalPath(%q) = %q, want %q", tc.path, got, tc.want)
+		}
+	}
+}
+
+func TestInstallQuotaFailureNamesFirstFile(t *testing.T) {
+	// Extraction runs in name order, so when the quota runs out the error
+	// names the same file on every install.
+	a := testAPK("com.example.full")
+	a.NativeLibs = map[string][]byte{"libd.so": make([]byte, 64), "libb.so": make([]byte, 64)}
+	a.Assets = map[string][]byte{"z.bin": make([]byte, 64), "c.bin": make([]byte, 64)}
+	archive, err := apk.Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for quota, want := range map[int64]string{
+		int64(len(archive)) + 10:  "/data/data/com.example.full/lib/libb.so",
+		int64(len(archive)) + 150: "/data/data/com.example.full/assets/c.bin",
+	} {
+		for i := 0; i < 20; i++ {
+			d := NewDevice(WithStorageQuota(quota))
+			_, err = d.Packages.InstallArchive(a, archive)
+			if !errors.Is(err, ErrNoSpace) || !strings.HasSuffix(err.Error(), " to "+want) {
+				t.Fatalf("quota %d: err = %v, want ErrNoSpace naming %s", quota, err, want)
+			}
 		}
 	}
 }

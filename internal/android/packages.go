@@ -86,13 +86,14 @@ func (pm *PackageManager) InstallArchive(a *apk.APK, archive []byte) (*Installed
 			return nil, fmt.Errorf("android: install %s: %w", pkg, err)
 		}
 	}
-	for name, lib := range a.NativeLibs {
-		if err := st.WriteFile(app.DataDir+"lib/"+name, lib, SystemOwner, false); err != nil {
+	// Extract in name order, so a quota failure always names the same file.
+	for _, name := range sortedKeys(a.NativeLibs) {
+		if err := st.WriteFile(app.DataDir+"lib/"+name, a.NativeLibs[name], SystemOwner, false); err != nil {
 			return nil, fmt.Errorf("android: install %s: %w", pkg, err)
 		}
 	}
-	for name, content := range a.Assets {
-		if err := st.WriteFile(app.DataDir+"assets/"+name, content, SystemOwner, false); err != nil {
+	for _, name := range sortedKeys(a.Assets) {
+		if err := st.WriteFile(app.DataDir+"assets/"+name, a.Assets[name], SystemOwner, false); err != nil {
 			return nil, fmt.Errorf("android: install %s: %w", pkg, err)
 		}
 	}
@@ -103,6 +104,15 @@ func (pm *PackageManager) InstallArchive(a *apk.APK, archive []byte) (*Installed
 	pm.apps[pkg] = app
 	pm.mu.Unlock()
 	return app, nil
+}
+
+func sortedKeys(m map[string][]byte) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func (pm *PackageManager) chownDir(prefix, owner string) {

@@ -48,9 +48,20 @@ type APK struct {
 	Extra map[string][]byte
 }
 
+// buildCalls counts Build invocations since process start. Device
+// provisioning installs archives it already holds (the corpus companions,
+// the Bouncer's submitted bytes) instead of rebuilding them; tests in
+// internal/corpus and internal/bouncer assert that promise against this
+// counter.
+var buildCalls atomic.Int64
+
+// BuildCalls returns the number of Build invocations so far (test hook).
+func BuildCalls() int64 { return buildCalls.Load() }
+
 // Build serializes the package as a zip archive with a META-INF digest
 // manifest (the signing analogue). Output is deterministic.
 func Build(a *APK) ([]byte, error) {
+	buildCalls.Add(1)
 	if err := a.Manifest.Validate(); err != nil {
 		return nil, fmt.Errorf("apk: build: %w", err)
 	}

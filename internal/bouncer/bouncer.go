@@ -10,6 +10,7 @@ package bouncer
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -94,7 +95,7 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 	// Phase 1: static scan of every binary in the archive.
 	_, sStatic := trace.Start(ctx, "review.static")
 	stopStatic := r.Metrics.Time("bouncer.static")
-	v, rejected := r.staticScan(a)
+	df, v, rejected := r.staticScan(a)
 	stopStatic()
 	sStatic.SetAttr("rejected", strconv.FormatBool(rejected))
 	sStatic.End()
@@ -112,10 +113,14 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 		net = r.Network.Clone()
 		net.Online = dev.NetworkAvailable
 	}
-	app, err := dev.Packages.Install(a)
+	// Install the submitted bytes as given and boot the VM from the
+	// bytecode the static scan decoded: neither is rebuilt. A nil df (the
+	// decode failed) leaves vm.New to decode, and report, it again.
+	app, err := dev.Packages.InstallArchive(a, apkBytes)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("bouncer: %w", err)
 	}
+	app.Decoded = df
 	interceptor := &reviewHooks{}
 	machine, err := vm.New(dev, net, app, interceptor, nil)
 	if err != nil {
@@ -163,27 +168,36 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 }
 
 // staticScan classifies every binary packaged in the archive; rejected
-// reports whether the scan already produced a failing verdict.
-func (r *Reviewer) staticScan(a *apk.APK) (v Verdict, rejected bool) {
+// reports whether the scan already produced a failing verdict. df is the
+// decoded classes.dex, nil when the archive has none or it fails to
+// decode. Libraries are scanned in name order, so when several match, the
+// verdict names the same one on every node.
+func (r *Reviewer) staticScan(a *apk.APK) (df *dex.File, v Verdict, rejected bool) {
 	if a.Dex != nil {
-		if df, err := dex.Decode(a.Dex); err == nil {
+		if decoded, err := dex.Decode(a.Dex); err == nil {
+			df = decoded
 			if det := r.Classifier.Classify(mail.FromDex(df)); det.Malware {
-				return Verdict{Reason: fmt.Sprintf("static scan: classes.dex matches %s (%.0f%%)",
+				return df, Verdict{Reason: fmt.Sprintf("static scan: classes.dex matches %s (%.0f%%)",
 					det.Family, det.Score*100)}, true
 			}
 		}
 	}
-	for name, libBytes := range a.NativeLibs {
-		lib, err := nativebin.Decode(libBytes)
+	names := make([]string, 0, len(a.NativeLibs))
+	for name := range a.NativeLibs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		lib, err := nativebin.Decode(a.NativeLibs[name])
 		if err != nil {
 			continue
 		}
 		if det := r.Classifier.Classify(mail.FromNative(lib)); det.Malware {
-			return Verdict{Reason: fmt.Sprintf("static scan: %s matches %s (%.0f%%)",
+			return df, Verdict{Reason: fmt.Sprintf("static scan: %s matches %s (%.0f%%)",
 				name, det.Family, det.Score*100)}, true
 		}
 	}
-	return Verdict{}, false
+	return df, Verdict{}, false
 }
 
 // reviewHooks records loaded paths during the sandbox run (the review's

@@ -229,19 +229,27 @@ func TestBouncerApprovesBenign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := (&Reviewer{Classifier: trainedClassifier(t)}).Review(data)
+	r := &Reviewer{Classifier: trainedClassifier(t)}
+	before := apk.BuildCalls()
+	v, err := r.Review(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Approved {
 		t.Fatalf("benign app rejected: %s", v.Reason)
 	}
+	// The review installs the submitted bytes as given: the whole review,
+	// dynamic phase included, builds no archive.
+	if builds := apk.BuildCalls() - before; builds != 0 {
+		t.Fatalf("review ran apk.Build %d times, want 0", builds)
+	}
 }
 
-func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
-	// A chathook-style native library packaged in the archive is caught by
-	// the static scan of lib/ entries.
-	nb := nativebin.NewBuilder("libhook.so", "arm")
+// chathookLib builds a chathook-style native library and a classifier
+// trained on it.
+func chathookLib(t *testing.T, soname string) ([]byte, *droidnative.Classifier) {
+	t.Helper()
+	nb := nativebin.NewBuilder(soname, "arm")
 	target := nb.CString("com.tencent.mm")
 	nb.Symbol("Java_com_mal_Hook_attack").
 		MovI(0, 0).
@@ -259,6 +267,13 @@ func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
 	if err := clf.Train("Chathook ptrace", mail.FromNative(lib)); err != nil {
 		t.Fatal(err)
 	}
+	return libBytes, &clf
+}
+
+func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
+	// A chathook-style native library packaged in the archive is caught by
+	// the static scan of lib/ entries.
+	libBytes, clf := chathookLib(t, "libhook.so")
 	a := &apk.APK{
 		Manifest: apk.Manifest{Package: "com.nat.mal", MinSDK: 16,
 			Application: apk.Application{Activities: []apk.Component{{Name: "com.nat.mal.Main", Main: true}}}},
@@ -268,12 +283,43 @@ func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := (&Reviewer{Classifier: &clf}).Review(data)
+	v, err := (&Reviewer{Classifier: clf}).Review(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Approved || !strings.Contains(v.Reason, "Chathook") {
 		t.Fatalf("verdict = %+v", v)
+	}
+}
+
+func TestStaticScanNamesFirstMatchingLibrary(t *testing.T) {
+	// Two packaged libraries both match: every review must name the same
+	// one, the first by name, whatever order the map yields them in.
+	libBytes, clf := chathookLib(t, "libhook.so")
+	a := &apk.APK{
+		Manifest:   apk.Manifest{Package: "com.nat.twice", MinSDK: 16},
+		NativeLibs: map[string][]byte{"libb.so": libBytes, "liba.so": libBytes},
+	}
+	data, err := apk.Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Reviewer{Classifier: clf}
+	reasons := map[string]int{}
+	for i := 0; i < 50; i++ {
+		v, err := r.Review(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reasons[v.Reason]++
+	}
+	if len(reasons) != 1 {
+		t.Fatalf("50 reviews gave %d reasons: %v", len(reasons), reasons)
+	}
+	for reason := range reasons {
+		if !strings.HasPrefix(reason, "static scan: liba.so matches Chathook") {
+			t.Fatalf("reason = %q, want it to name liba.so", reason)
+		}
 	}
 }
 
@@ -325,6 +371,23 @@ func TestBouncerRejectsLocallyLoadedMalware(t *testing.T) {
 	}
 	if v.Approved || !strings.Contains(v.Reason, "loaded code matches") {
 		t.Fatalf("verdict = %+v", v)
+	}
+}
+
+func TestReviewUndecodableDexFailsInVM(t *testing.T) {
+	// The static scan skips bytecode it cannot decode; the sandbox boot
+	// then decodes it again and reports the error.
+	data, err := apk.Build(&apk.APK{
+		Manifest: apk.Manifest{Package: "com.bad.dex", MinSDK: 16,
+			Application: apk.Application{Activities: []apk.Component{{Name: "com.bad.dex.Main", Main: true}}}},
+		Dex: []byte(dex.Magic + "not bytecode"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = (&Reviewer{Classifier: trainedClassifier(t)}).Review(data)
+	if err == nil || !strings.Contains(err.Error(), "bouncer: vm: app com.bad.dex:") {
+		t.Fatalf("err = %v, want the VM's decode error", err)
 	}
 }
 

@@ -49,8 +49,9 @@ type Store struct {
 	// Network serves the remote payloads (the Baidu ad plugins).
 	Network *netsim.Network
 	// Scale is the configured scale factor.
-	Scale float64
-	cache *payloadCache
+	Scale      float64
+	cache      *payloadCache
+	companions []companion
 }
 
 // Config controls generation.
@@ -71,42 +72,82 @@ func (st *Store) BuildAPK(app *StoreApp) ([]byte, error) {
 	return apk.Build(a)
 }
 
-// SetupDevice pre-installs the companion apps every analysis device needs:
-// Adobe AIR and the Devicescape offloader (Table IX's foreign-library
-// providers) and the two chat apps the Chathook malware targets, with
-// their processes running.
-func (st *Store) SetupDevice(dev *android.Device) error {
-	air := &apk.APK{
-		Manifest:   apk.Manifest{Package: AdobeAirPackage, MinSDK: 14},
-		NativeLibs: map[string][]byte{"libCore.so": st.cache.cachedLib("companion-libCore.so")},
-	}
-	ds := &apk.APK{
-		Manifest:   apk.Manifest{Package: DevicescapePackage, MinSDK: 14},
-		NativeLibs: map[string][]byte{"libdevicescape-jni.so": st.cache.cachedLib("companion-libdevicescape-jni.so")},
-	}
-	for _, companion := range []*apk.APK{air, ds, chatApp(QQPackage), chatApp(WeChatPackage)} {
-		if _, err := dev.Packages.Install(companion); err != nil {
-			return fmt.Errorf("corpus: companion %s: %w", companion.Manifest.Package, err)
-		}
-	}
-	dev.StartProcess(QQPackage, 10100)
-	dev.StartProcess(WeChatPackage, 10101)
-	return nil
+// companion is one app pre-installed on every analysis device, built
+// once per Store. Every device the store provisions shares the APK and
+// its archive bytes, so neither may be mutated; the device's storage
+// copies the bytes on write and on read.
+type companion struct {
+	apk     *apk.APK
+	archive []byte
 }
 
-func chatApp(pkg string) *apk.APK {
+// buildCompanions builds Adobe AIR and the Devicescape offloader (Table
+// IX's foreign-library providers) and the two chat apps the Chathook
+// malware targets, each with its archive.
+func buildCompanions() ([]companion, error) {
+	var apps []*apk.APK
+	for _, c := range []struct{ pkg, lib string }{
+		{AdobeAirPackage, "libCore.so"},
+		{DevicescapePackage, "libdevicescape-jni.so"},
+	} {
+		lib, err := benignLib(c.lib, 7)
+		if err != nil {
+			return nil, err
+		}
+		data, err := nativebin.Encode(lib)
+		if err != nil {
+			return nil, err
+		}
+		apps = append(apps, &apk.APK{
+			Manifest:   apk.Manifest{Package: c.pkg, MinSDK: 14},
+			NativeLibs: map[string][]byte{c.lib: data},
+		})
+	}
+	for _, pkg := range []string{QQPackage, WeChatPackage} {
+		a, err := chatApp(pkg)
+		if err != nil {
+			return nil, err
+		}
+		apps = append(apps, a)
+	}
+	out := make([]companion, len(apps))
+	for i, a := range apps {
+		archive, err := apk.Build(a)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: companion %s: %w", a.Manifest.Package, err)
+		}
+		out[i] = companion{apk: a, archive: archive}
+	}
+	return out, nil
+}
+
+func chatApp(pkg string) (*apk.APK, error) {
 	b := dex.NewBuilder()
 	b.Class(pkg+".ChatActivity", "android.app.Activity").
 		Method("onCreate", dex.ACCPublic, 2, "V", "Landroid/os/Bundle;").ReturnVoid().Done()
 	dexBytes, err := dex.Encode(b.File())
 	if err != nil {
-		panic("corpus: chat app template: " + err.Error()) // static template; cannot fail
+		return nil, fmt.Errorf("corpus: companion %s: %w", pkg, err)
 	}
 	return &apk.APK{
 		Manifest: apk.Manifest{Package: pkg, MinSDK: 14,
 			Application: apk.Application{Activities: []apk.Component{{Name: pkg + ".ChatActivity", Main: true}}}},
 		Dex: dexBytes,
+	}, nil
+}
+
+// SetupDevice pre-installs the companion apps every analysis device needs
+// from the archives the store built once, and starts the two chat apps'
+// processes.
+func (st *Store) SetupDevice(dev *android.Device) error {
+	for _, c := range st.companions {
+		if _, err := dev.Packages.InstallArchive(c.apk, c.archive); err != nil {
+			return fmt.Errorf("corpus: companion %s: %w", c.apk.Manifest.Package, err)
+		}
 	}
+	dev.StartProcess(QQPackage, 10100)
+	dev.StartProcess(WeChatPackage, 10101)
+	return nil
 }
 
 // TrainingSet builds the DroidNative classifier the paper trains: samples
@@ -211,20 +252,12 @@ func GenerateContext(ctx context.Context, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Companion libraries shared by SetupDevice.
-	for _, name := range []string{"libCore.so", "libdevicescape-jni.so"} {
-		lib, err := benignLib(name, 7)
-		if err != nil {
-			return nil, err
-		}
-		data, err := nativebin.Encode(lib)
-		if err != nil {
-			return nil, err
-		}
-		cache.libs["companion-"+name] = data
+	companions, err := buildCompanions()
+	if err != nil {
+		return nil, err
 	}
 
-	st := &Store{Network: netsim.NewNetwork(), Scale: cfg.Scale, cache: cache}
+	st := &Store{Network: netsim.NewNetwork(), Scale: cfg.Scale, cache: cache, companions: companions}
 	p := Paper()
 	sc := func(n int) int { return Scaled(n, cfg.Scale) }
 	names := newPkgNamer()
