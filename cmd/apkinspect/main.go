@@ -31,15 +31,13 @@
 //	apkinspect cluster status http://coordinator:8437
 //	apkinspect cluster status -json http://coordinator:8437
 //
-// The profile subcommand reads the fleet's continuous-profiling ring —
-// the window index, one window's top-functions table, or the flat
-// self-time regression between two windows (possibly from different
-// nodes, via the coordinator's federated view):
+// The profile subcommand lists the fleet's continuous-profiling ring (a
+// coordinator answers with every member's windows); `go tool pprof`
+// reads a window's raw bytes, and -tagroot stage (or -tags) shows its
+// CPU by pipeline stage:
 //
 //	apkinspect profile list -url http://daemon:8437
-//	apkinspect profile top -url http://daemon:8437 w000003
-//	apkinspect profile diff -url http://coordinator:8437 w000002@node1 w000005@node2
-//	apkinspect profile top saved-window.json
+//	go tool pprof -top -tagroot stage 'http://coordinator:8437/v1/profiles/w000003?format=pprof&node=node1'
 package main
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -17,79 +16,41 @@ import (
 // runProfile implements the profile subcommand — the reader side of the
 // fleet's continuous-profiling ring:
 //
-//	apkinspect profile list -url http://daemon:8437
-//	apkinspect profile top [-n 10] -url URL <window-id[@node]>
-//	apkinspect profile top [-n 10] window.json
-//	apkinspect profile diff [-n 10] -url URL <old-id[@node]> <new-id[@node]>
-//	apkinspect profile diff [-n 10] old.json new.json
+//	apkinspect profile list [-json] -url http://daemon:8437
 //
 // list renders the window index (a worker's own ring, or a
-// coordinator's federated view across every member). top renders one
-// window's top-functions table; diff renders the flat self-time
-// regression between two windows — "@node" pins a window to a member
-// when fetching through a coordinator, so the two sides of a diff can
-// come from different nodes. A window JSON file (a saved
-// /v1/profiles/{id} body) works in place of a URL fetch.
+// coordinator's federated view across every member). A window itself is
+// read by the Go toolchain: -top -tagroot stage prints the function table
+// with each pipeline stage as a root frame, -tags the stage split alone,
+// and -diff_base the regression between two windows. Through a
+// coordinator, &node= picks the member:
+//
+//	go tool pprof -top -tagroot stage 'http://daemon:8437/v1/profiles/<id>?format=pprof'
+//	go tool pprof -top -diff_base OLD NEW
 func runProfile(w io.Writer, args []string) error {
-	const usage = "usage: apkinspect profile list -url URL | profile top [-n N] (-url URL <id[@node]> | <file.json>) | profile diff [-n N] (-url URL <old> <new> | <old.json> <new.json>)"
-	if len(args) < 1 {
+	const usage = "usage: apkinspect profile list [-json] -url URL"
+	if len(args) < 1 || args[0] != "list" {
 		return fmt.Errorf("%s", usage)
 	}
-	verb := args[0]
-	fs := flag.NewFlagSet("profile "+verb, flag.ContinueOnError)
+	fs := flag.NewFlagSet("profile list", flag.ContinueOnError)
 	baseURL := fs.String("url", "", "daemon or coordinator base URL")
-	topN := fs.Int("n", 10, "rows to render")
 	asJSON := fs.Bool("json", false, "print raw JSON instead of tables")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-
-	switch verb {
-	case "list":
-		if *baseURL == "" || fs.NArg() != 0 {
-			return fmt.Errorf("%s", usage)
-		}
-		metas, raw, err := fetchProfileIndex(*baseURL)
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			_, err := w.Write(append(raw, '\n'))
-			return err
-		}
-		profile.RenderIndex(w, metas)
-		return nil
-
-	case "top":
-		if fs.NArg() != 1 {
-			return fmt.Errorf("%s", usage)
-		}
-		win, err := resolveWindow(*baseURL, fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			return json.NewEncoder(w).Encode(win)
-		}
-		profile.RenderTop(w, win, *topN)
-		return nil
-
-	case "diff":
-		if fs.NArg() != 2 {
-			return fmt.Errorf("%s", usage)
-		}
-		oldW, err := resolveWindow(*baseURL, fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		newW, err := resolveWindow(*baseURL, fs.Arg(1))
-		if err != nil {
-			return err
-		}
-		profile.RenderDiff(w, oldW, newW, *topN)
-		return nil
+	if *baseURL == "" || fs.NArg() != 0 {
+		return fmt.Errorf("%s", usage)
 	}
-	return fmt.Errorf("unknown profile verb %q\n%s", verb, usage)
+	metas, raw, err := fetchProfileIndex(*baseURL)
+	if err != nil {
+		return err
+	}
+	if *asJSON {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	}
+	profile.RenderIndex(w, metas)
+	return nil
 }
 
 // fetchProfileIndex pulls a /v1/profiles index. Workers answer a bare
@@ -120,37 +81,6 @@ func fetchProfileIndex(base string) ([]profile.Meta, []byte, error) {
 			len(federated.Missing), strings.Join(federated.Missing, ", "))
 	}
 	return federated.Windows, body, nil
-}
-
-// resolveWindow loads one window: with a base URL the argument is a
-// window ID, optionally "@node"-pinned to a federation member;
-// without one it is a window JSON file.
-func resolveWindow(base, arg string) (*profile.Window, error) {
-	if base == "" {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, err
-		}
-		win := new(profile.Window)
-		if err := json.Unmarshal(data, win); err != nil {
-			return nil, fmt.Errorf("%s: decode window: %w", arg, err)
-		}
-		return win, nil
-	}
-	id, node, _ := strings.Cut(arg, "@")
-	target := normalizeBase(base) + "/v1/profiles/" + url.PathEscape(id)
-	if node != "" {
-		target += "?node=" + url.QueryEscape(node)
-	}
-	body, err := httpGetAll(target)
-	if err != nil {
-		return nil, err
-	}
-	win := new(profile.Window)
-	if err := json.Unmarshal(body, win); err != nil {
-		return nil, fmt.Errorf("decode window %s: %w", arg, err)
-	}
-	return win, nil
 }
 
 func normalizeBase(base string) string {

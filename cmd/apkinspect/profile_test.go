@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +11,7 @@ import (
 	"github.com/dydroid/dydroid/internal/profile"
 )
 
-// profileServer serves a canned window ring over the worker profile API.
+// profileServer serves a canned window ring's index as a worker does.
 func profileServer(t *testing.T, wins ...*profile.Window) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -24,36 +22,21 @@ func profileServer(t *testing.T, wins ...*profile.Window) *httptest.Server {
 		}
 		json.NewEncoder(w).Encode(metas)
 	})
-	mux.HandleFunc("GET /v1/profiles/{id}", func(w http.ResponseWriter, r *http.Request) {
-		for _, win := range wins {
-			if win.ID == r.PathValue("id") {
-				json.NewEncoder(w).Encode(win)
-				return
-			}
-		}
-		http.Error(w, `{"error":"unknown profile window"}`, http.StatusNotFound)
-	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-func testWindow(id string, at time.Time, flatNS int64) *profile.Window {
+func testWindow(id string, at time.Time, cpuNS int64) *profile.Window {
 	return &profile.Window{
 		ID: id, Node: "w1", Trigger: profile.TriggerSampler,
 		StartAt: at, EndAt: at.Add(250 * time.Millisecond),
-		Runtime: profile.RuntimeDelta{CPUNS: flatNS},
-		Summary: &profile.Summary{
-			Samples: 3, TotalNS: flatNS, PeriodNS: 10e6, DurationNS: 250e6,
-			Top: []profile.FuncCost{
-				{Func: "core.unpack", FlatNS: flatNS, CumNS: flatNS},
-				{Func: "core.rewrite", FlatNS: flatNS / 4, CumNS: flatNS / 2},
-			},
-		},
+		Runtime: profile.RuntimeDelta{CPUNS: cpuNS},
+		Pprof:   []byte("\x1f\x8b canned profile"),
 	}
 }
 
-func TestProfileListTopDiffCommands(t *testing.T) {
+func TestProfileListCommand(t *testing.T) {
 	base := time.Date(2026, 8, 7, 10, 0, 0, 0, time.UTC)
 	oldW := testWindow("w000001", base, 10e6)
 	newW := testWindow("w000002", base.Add(time.Minute), 30e6)
@@ -64,51 +47,16 @@ func TestProfileListTopDiffCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	list := out.String()
-	for _, want := range []string{"w000001", "w000002", "core.unpack", "sampler"} {
+	for _, want := range []string{"w000001", "w000002", "30ms", "sampler"} {
 		if !strings.Contains(list, want) {
 			t.Fatalf("list output missing %q:\n%s", want, list)
 		}
 	}
 
-	out.Reset()
-	if err := runProfile(&out, []string{"top", "-url", ts.URL, "w000002"}); err != nil {
-		t.Fatal(err)
-	}
-	top := out.String()
-	if !strings.Contains(top, "core.unpack") || !strings.Contains(top, "30ms") {
-		t.Fatalf("top output:\n%s", top)
-	}
-
-	out.Reset()
-	if err := runProfile(&out, []string{"diff", "-url", ts.URL, "w000001", "w000002"}); err != nil {
-		t.Fatal(err)
-	}
-	diff := out.String()
-	if !strings.Contains(diff, "core.unpack") || !strings.Contains(diff, "+200.0%") {
-		t.Fatalf("diff output:\n%s", diff)
-	}
-
-	// Unknown window surfaces the server's 404.
-	if err := runProfile(&out, []string{"top", "-url", ts.URL, "w999999"}); err == nil {
-		t.Fatal("unknown window did not error")
-	}
-}
-
-func TestProfileTopFromFile(t *testing.T) {
-	win := testWindow("w000009", time.Date(2026, 8, 7, 11, 0, 0, 0, time.UTC), 20e6)
-	data, err := json.Marshal(win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "win.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := runProfile(&out, []string{"top", path}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "core.unpack") || !strings.Contains(out.String(), "w000009") {
-		t.Fatalf("file-mode top output:\n%s", out.String())
+	// The retired verbs are usage errors, not silent no-ops.
+	for _, verb := range []string{"top", "diff"} {
+		if err := runProfile(&out, []string{verb, "-url", ts.URL, "w000002"}); err == nil {
+			t.Fatalf("profile %s did not error", verb)
+		}
 	}
 }

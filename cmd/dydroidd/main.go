@@ -18,11 +18,11 @@
 // exposition, including SLO burn-rate gauges), GET /v1/fleet (mergeable
 // measurement snapshot with SLO state and ops events),
 // GET /v1/events (lifecycle event journal as JSONL),
-// GET /v1/dashboard (self-refreshing HTML fleet dashboard, ?refresh=N),
 // GET /v1/version (build + format versions), runtime profiling under
 // /debug/pprof/, and the continuous-profiling ring at GET /v1/profiles
 // (index) and GET /v1/profiles/{id} (full window; ?format=pprof for the
-// raw bytes). A background sampler captures short CPU-profile windows on
+// raw bytes, which `go tool pprof -tags` splits by pipeline stage).
+// A background sampler captures short CPU-profile windows on
 // the -profile-interval cadence; an SLO burn-rate alert or a
 // -slow-deadline watchdog trip captures one immediately, tagged with the
 // offending digest. Submit with curl:
@@ -238,7 +238,7 @@ func run(parent context.Context, o daemonOptions) error {
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// The runtime sampler keeps the dashboard's goroutine/heap gauges live.
+	// The runtime sampler keeps the /v1/metricz goroutine/heap gauges live.
 	stopSampler := telemetry.StartRuntimeSampler(ctx, reg, telemetry.DefaultSampleInterval)
 	defer stopSampler()
 	// The continuous-profiling sampler captures cadence windows; alert-

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -137,7 +138,7 @@ func TestFederatedProfileCapture(t *testing.T) {
 	}
 
 	// Download through the coordinator, pinned to the holding node: the
-	// full window first, then the raw pprof bytes, which must parse.
+	// full window first, then exactly its raw gzipped pprof bytes.
 	resp, err := http.Get(cts.URL + "/v1/profiles/" + meta.ID + "?node=" + meta.Node)
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +164,14 @@ func TestFederatedProfileCapture(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof download: %d %s", resp.StatusCode, raw)
 	}
-	if _, err := profile.ParseCPUProfile(raw, 5); err != nil {
-		t.Fatalf("federated pprof bytes do not parse: %v", err)
+	if !bytes.Equal(raw, win.Pprof) || !bytes.HasPrefix(raw, []byte{0x1f, 0x8b}) {
+		t.Fatalf("federated pprof bytes (%d, % x...) are not the window's gzipped pprof (%d bytes)",
+			len(raw), raw[:min(len(raw), 2)], len(win.Pprof))
 	}
 
-	// CI keeps the captured window and its rendered top-functions table
-	// as artifacts — the same hook pattern the cluster status and trace
-	// tests use.
+	// CI keeps the captured window and its raw pprof bytes as artifacts
+	// (it renders the bytes with `go tool pprof`) — the same
+	// hook pattern the cluster status and trace tests use.
 	if path := os.Getenv("PROFILE_SUMMARY_ARTIFACT"); path != "" {
 		raw, err := json.MarshalIndent(win, "", "  ")
 		if err != nil {
@@ -179,11 +181,9 @@ func TestFederatedProfileCapture(t *testing.T) {
 			t.Fatalf("write profile summary artifact: %v", err)
 		}
 	}
-	if path := os.Getenv("PROFILE_TOP_ARTIFACT"); path != "" {
-		var buf strings.Builder
-		profile.RenderTop(&buf, &win, 20)
-		if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
-			t.Fatalf("write profile top artifact: %v", err)
+	if path := os.Getenv("PROFILE_PPROF_ARTIFACT"); path != "" {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatalf("write profile pprof artifact: %v", err)
 		}
 	}
 

@@ -4,8 +4,8 @@
 // start/stop, slow-analysis watchdog hits. Where the trace layer answers
 // "why was this one scan slow", the journal answers "what happened to the
 // fleet": every operationally interesting transition lands here with a
-// timestamp, so an operator reading the dashboard timeline (or curling
-// /v1/events) can reconstruct an incident without grepping logs.
+// timestamp, so an operator curling /v1/events can reconstruct an
+// incident without grepping logs.
 //
 // The journal's aggregate form is a Log, the shared metrics.Ring over
 // Event: a newest-first selection by a deterministic total order, exactly

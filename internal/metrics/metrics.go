@@ -10,8 +10,10 @@
 // distribution (the registry's histograms and the fleet snapshot's stage
 // latencies), and Ring, the one bounded selection list (recent DCL loads
 // and errors, slowest analyses, the ops event journal, the runner's
-// slowest traces). metrics imports nothing from the rest of the module,
-// so any package may build on them.
+// slowest traces). Beside them sits LRU, the one bounded
+// least-recently-used map (the result store's cache and the trace
+// store). metrics imports nothing from the rest of the module, so any
+// package may build on them.
 package metrics
 
 import (

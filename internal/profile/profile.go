@@ -2,19 +2,19 @@
 // fleet: short CPU-profile windows plus runtime-metrics deltas captured
 // on a cadence — and immediately when an SLO burn-rate alert or the
 // slow-analysis watchdog fires — into a bounded, time-indexed ring of
-// windows. Every window carries the raw pprof bytes *and* a parsed
-// top-functions summary (flat/cum self-time per function), so two
-// windows from different nodes or different days are comparable with
-// nothing but the JSON: the dashboard, `apkinspect profile top|diff`
-// and the coordinator's federated /v1/profiles all read the same
-// summaries.
+// windows. Every window keeps its raw gzipped pprof bytes and the
+// runtime deltas of its interval; the toolchain's own reader answers the
+// rest straight from the daemon or coordinator URL:
 //
-// CPU by pipeline stage rides in the same windows. The pipeline runs each
-// stage under the runtime/pprof goroutine label stage=<span name>, so a
-// window's summary also sums its samples by that label: exact under
-// concurrent workers, and no per-stage cost beyond setting the label.
-// `apkinspect profile top <id>` prints it under the function table;
-// `go tool pprof -tags` reads the same label from the raw bytes.
+//	go tool pprof -top -tagroot stage 'http://host/v1/profiles/<id>?format=pprof[&node=n]'
+//	go tool pprof -tags 'http://host/v1/profiles/<id>?format=pprof'
+//	go tool pprof -top -diff_base OLD NEW
+//
+// CPU by pipeline stage rides in the same bytes. The pipeline runs each
+// stage under the runtime/pprof goroutine label stage=<span name>, which
+// -tags sums per value and -tagroot turns into one root frame per stage:
+// exact under concurrent workers, and no per-stage cost beyond setting
+// the label.
 package profile
 
 import (
@@ -58,9 +58,9 @@ type RuntimeDelta struct {
 	Goroutines int `json:"goroutines"`
 }
 
-// Window is one captured profile: identity, what triggered it, the raw
-// (gzipped pprof) profile and the parsed summary. Raw bytes serialize as
-// base64 in JSON; the index form (Meta) omits them.
+// Window is one captured profile: identity, what triggered it and the raw
+// (gzipped pprof) profile. Raw bytes serialize as base64 in JSON; the
+// index form (Meta) omits them.
 type Window struct {
 	ID      string    `json:"id"`
 	Node    string    `json:"node,omitempty"`
@@ -71,16 +71,14 @@ type Window struct {
 	EndAt   time.Time `json:"end"`
 
 	Runtime RuntimeDelta `json:"runtime"`
-	Summary *Summary     `json:"summary,omitempty"`
-	// Err records a capture that produced no usable pprof bytes (the
-	// process-global CPU profiler was busy, or parsing failed); the
-	// runtime deltas are still valid.
+	// Err records a capture that produced no pprof bytes (the
+	// process-global CPU profiler was busy); the runtime deltas are
+	// still valid.
 	Err   string `json:"err,omitempty"`
 	Pprof []byte `json:"pprof,omitempty"`
 }
 
-// Meta is the index row of a window — everything but the raw bytes and
-// the full function table.
+// Meta is the index row of a window — everything but the raw bytes.
 type Meta struct {
 	ID         string    `json:"id"`
 	Node       string    `json:"node,omitempty"`
@@ -89,31 +87,23 @@ type Meta struct {
 	TraceID    string    `json:"trace_id,omitempty"`
 	StartAt    time.Time `json:"start"`
 	DurationNS int64     `json:"duration_ns"`
-	Samples    int64     `json:"samples"`
 	CPUNS      int64     `json:"cpu_ns"`
-	TopFunc    string    `json:"top_func,omitempty"`
 	Bytes      int       `json:"bytes"`
 	Err        string    `json:"err,omitempty"`
 }
 
 // Meta projects the window's index row.
 func (w *Window) Meta() Meta {
-	m := Meta{
+	return Meta{
 		ID: w.ID, Node: w.Node, Trigger: w.Trigger, Digest: w.Digest,
 		TraceID: w.TraceID, StartAt: w.StartAt,
 		DurationNS: w.EndAt.Sub(w.StartAt).Nanoseconds(),
 		CPUNS:      w.Runtime.CPUNS, Bytes: len(w.Pprof), Err: w.Err,
 	}
-	if w.Summary != nil {
-		m.Samples = w.Summary.Samples
-		m.TopFunc = w.Summary.TopFunc()
-	}
-	return m
 }
 
 // Options configures a Recorder. The zero value works: 250ms windows,
-// 30s cadence, 32 retained windows, top 20 functions, 30s trigger
-// cooldown.
+// 30s cadence, 32 retained windows, 30s trigger cooldown.
 type Options struct {
 	// Node names the owning fleet member, stamped on every window.
 	Node string
@@ -123,8 +113,6 @@ type Options struct {
 	Interval time.Duration
 	// Cap bounds the ring; the oldest window is evicted past it.
 	Cap int
-	// TopN bounds each window's parsed function table.
-	TopN int
 	// Cooldown is the minimum spacing between alert-triggered captures
 	// sharing a trigger key, so a burning SLO doesn't turn the ring into
 	// 32 copies of the same incident.
@@ -170,9 +158,6 @@ func New(opts Options) *Recorder {
 	}
 	if opts.Cap <= 0 {
 		opts.Cap = 32
-	}
-	if opts.TopN <= 0 {
-		opts.TopN = 20
 	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = 30 * time.Second
@@ -256,17 +241,10 @@ func (r *Recorder) Capture(trigger, digest, traceID string) *Window {
 		HeapLiveBytes: int64(after[3]),
 		Goroutines:    runtime.NumGoroutine(),
 	}
+	w.Pprof = raw
 	if err != nil {
 		w.Err = err.Error()
 		r.count("profile.capture.errors", 1)
-	} else {
-		w.Pprof = raw
-		if sum, perr := ParseCPUProfile(raw, r.opts.TopN); perr != nil {
-			w.Err = perr.Error()
-			r.count("profile.capture.errors", 1)
-		} else {
-			w.Summary = sum
-		}
 	}
 
 	r.mu.Lock()
@@ -290,10 +268,9 @@ func (r *Recorder) Capture(trigger, digest, traceID string) *Window {
 	if trigger != TriggerSampler {
 		r.opts.Journal.Record(events.Event{
 			Type: events.ProfileCaptured, Node: r.opts.Node, Digest: digest,
-			Detail: fmt.Sprintf("trigger=%s window=%s top=%s", trigger, w.ID, w.Summary.TopFunc()),
+			Detail: fmt.Sprintf("trigger=%s window=%s", trigger, w.ID),
 		})
-		r.opts.Logger.Info("profile captured",
-			"trigger", trigger, "window", w.ID, "digest", digest, "top", w.Summary.TopFunc())
+		r.opts.Logger.Info("profile captured", "trigger", trigger, "window", w.ID, "digest", digest)
 	}
 	return w
 }

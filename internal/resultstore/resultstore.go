@@ -17,6 +17,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"github.com/dydroid/dydroid/internal/metrics"
 )
 
 // ErrNotFound is returned by Get when no servable record exists for the
@@ -48,8 +50,10 @@ type Store struct {
 	dir     string
 	version int
 
-	mu  sync.Mutex // serializes disk writes and quarantine moves
-	lru *lruCache
+	mu sync.Mutex // serializes disk writes and quarantine moves
+	// lru is the in-memory front, digest → record data. It locks on its
+	// own, so a cached Get never waits behind a Put's fsync under mu.
+	lru *metrics.LRU[string, json.RawMessage]
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -106,7 +110,7 @@ func Open(opts Options) (*Store, error) {
 		writeRecord: writeFileSync,
 	}
 	if size > 0 {
-		s.lru = newLRU(size)
+		s.lru = metrics.NewLRU[string, json.RawMessage](size)
 	}
 	return s, nil
 }
@@ -137,7 +141,7 @@ func (s *Store) Get(digest string) (json.RawMessage, error) {
 		return nil, fmt.Errorf("resultstore: invalid digest %q", digest)
 	}
 	if s.lru != nil {
-		if data, ok := s.lru.get(digest); ok {
+		if data, ok := s.lru.Get(digest); ok {
 			s.hits.Add(1)
 			s.cacheHits.Add(1)
 			return data, nil
@@ -163,7 +167,7 @@ func (s *Store) Get(digest string) (json.RawMessage, error) {
 		return nil, ErrNotFound
 	}
 	if s.lru != nil {
-		s.lru.put(digest, env.Data)
+		s.lru.Put(digest, env.Data)
 	}
 	s.hits.Add(1)
 	return env.Data, nil
@@ -206,7 +210,7 @@ func (s *Store) Put(digest string, data json.RawMessage) error {
 		return fmt.Errorf("resultstore: put %s: %w", digest, err)
 	}
 	if s.lru != nil {
-		s.lru.put(digest, data)
+		s.lru.Put(digest, data)
 	}
 	s.puts.Add(1)
 	return nil
@@ -226,7 +230,7 @@ func (s *Store) quarantine(digest string) {
 		os.Remove(src)
 	}
 	if s.lru != nil {
-		s.lru.remove(digest)
+		s.lru.Remove(digest)
 	}
 	s.quarantined.Add(1)
 }

@@ -102,10 +102,10 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := st.lru.len(); n != 2 {
+	if n := st.lru.Len(); n != 2 {
 		t.Fatalf("lru len = %d, want 2", n)
 	}
-	if _, ok := st.lru.get(digests[0]); ok {
+	if _, ok := st.lru.Get(digests[0]); ok {
 		t.Fatal("oldest entry not evicted")
 	}
 	// The evicted record is still served from disk.
@@ -360,7 +360,7 @@ func TestLRUConcurrentEvictionCoherence(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := st.lru.len(); n > cacheCap {
+	if n := st.lru.Len(); n > cacheCap {
 		t.Fatalf("cache holds %d entries, cap %d", n, cacheCap)
 	}
 	// Disk remains complete after all the eviction churn.

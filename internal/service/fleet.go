@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"time"
 
@@ -73,46 +72,6 @@ func (s *Server) writeSLOProm(w io.Writer) {
 	}
 }
 
-// handleDashboard renders the self-refreshing HTML fleet dashboard. The
-// refresh interval defaults to 2 s and is tunable per request with
-// ?refresh=N (0 disables the meta refresh); a non-numeric or negative
-// value is a 400, not a silent fallback.
-func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	refresh := 2
-	if q := r.URL.Query().Get("refresh"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest,
-				"refresh must be a non-negative integer number of seconds")
-			return
-		}
-		refresh = n
-	}
-	vi := versionInfo()
-	header := []telemetry.KV{
-		{Key: "build", Value: vi.Version + " (" + vi.GoVersion + ")"},
-		{Key: "record version", Value: strconv.Itoa(vi.RecordVersion)},
-		{Key: "snapshot version", Value: strconv.Itoa(vi.SnapshotVersion)},
-	}
-	if vi.VCSRevision != "" {
-		header = append(header, telemetry.KV{Key: "revision", Value: shortRev(vi.VCSRevision)})
-	}
-	var gauges map[string]int64
-	if s.reg != nil {
-		gauges = s.reg.Snapshot().Gauges
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	telemetry.RenderDashboard(w, telemetry.DashboardData{
-		Title:   "dydroidd fleet",
-		Refresh: refresh,
-		Header:  header,
-		Snap:    s.fleetSnapshot(),
-		Gauges:  gauges,
-		Profile: s.profileTiles(),
-		Now:     s.now(),
-	})
-}
-
 // versionResponse is the body of GET /v1/version: build identity plus the
 // on-the-wire format versions a client needs for compatibility checks.
 type versionResponse struct {
@@ -155,13 +114,6 @@ func versionInfo() versionResponse {
 		}
 	}
 	return v
-}
-
-func shortRev(rev string) string {
-	if len(rev) > 12 {
-		return rev[:12]
-	}
-	return rev
 }
 
 // armWatchdog starts the slow-analysis watchdog for one submission. If

@@ -62,51 +62,44 @@ func TestFleetEndpoint(t *testing.T) {
 	if snap.Stages["scan"] == nil || snap.Stages["scan"].Count != 1 {
 		t.Fatalf("scan stage missing from fleet stages: %+v", snap.Stages)
 	}
+	// The slowest-analyses table names the scanned package, in the
+	// snapshot and in the report `apkinspect fleet merge` renders.
+	if e := snap.SlowestApps.Entries; len(e) != 1 || e[0].Package != "com.fleet.app" || e[0].Digest != sr.Digest {
+		t.Fatalf("slowest apps = %+v, want com.fleet.app", e)
+	}
+	if report := snap.LatencyReport(); !strings.Contains(report, "com.fleet.app") {
+		t.Fatalf("latency report missing the scanned package:\n%s", report)
+	}
 }
 
-// TestDashboardEndpoint checks the HTML dashboard reflects a completed
-// scan (the acceptance criterion: visible within one refresh interval —
-// the page renders live aggregator state, so it is visible immediately).
-func TestDashboardEndpoint(t *testing.T) {
-	reg := metrics.New()
-	_, ts := newStubServer(t, Config{Workers: 1, QueueDepth: 4, Metrics: reg}, nil)
-
-	apkBytes := tinyAPK(t, "com.dashboard.app")
-	_, body := postScan(t, ts, apkBytes)
+// TestMetriczPromSLOGauges: after one scan the Prometheus exposition
+// carries every SLO burn-rate gauge for both default objectives.
+func TestMetriczPromSLOGauges(t *testing.T) {
+	_, ts := newStubServer(t, Config{Workers: 1, QueueDepth: 4, Metrics: metrics.New()}, nil)
+	_, body := postScan(t, ts, tinyAPK(t, "com.slo.app"))
 	var sr scanResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
 	pollResult(t, ts, sr.Digest)
 
-	resp, page := getBody(t, ts.URL+"/v1/dashboard")
+	resp, body := getBody(t, ts.URL+"/v1/metricz?format=prom")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dashboard: %d", resp.StatusCode)
+		t.Fatalf("metricz: %d %s", resp.StatusCode, body)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("content type = %q", ct)
-	}
-	html := string(page)
-	for _, want := range []string{
-		`<meta http-equiv="refresh" content="2">`,
-		"dydroidd fleet",
-		"record version",
-		"snapshot version",
-		"com.dashboard.app", // the just-scanned APK in the slowest-analyses table
-		"apps analyzed",
+	prom := string(body)
+	for _, gauge := range []string{
+		"dydroid_slo_burn_rate_fast", "dydroid_slo_burn_rate_slow",
+		"dydroid_slo_error_budget_used", "dydroid_slo_alert_firing",
 	} {
-		if !strings.Contains(html, want) {
-			t.Fatalf("dashboard missing %q", want)
+		if !strings.Contains(prom, "# TYPE "+gauge+" gauge\n") {
+			t.Fatalf("prom missing TYPE line for %s:\n%s", gauge, prom)
 		}
-	}
-	if strings.Contains(html, "<script") {
-		t.Fatal("dashboard must not ship scripts")
-	}
-
-	// ?refresh= tunes the meta refresh; 0 disables it.
-	_, page = getBody(t, ts.URL+"/v1/dashboard?refresh=0")
-	if strings.Contains(string(page), "http-equiv") {
-		t.Fatal("refresh=0 still emits a meta refresh")
+		for _, objective := range []string{"scan-availability", "analyze-latency-p99"} {
+			if want := gauge + `{objective="` + objective + `"} `; !strings.Contains(prom, want) {
+				t.Fatalf("prom missing %s:\n%s", want, prom)
+			}
+		}
 	}
 }
 

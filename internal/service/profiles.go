@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/telemetry"
@@ -21,7 +20,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProfile serves one captured window: the full JSON form by
-// default (summary + base64 pprof bytes), or the raw pprof protobuf
+// default (runtime deltas + base64 pprof bytes), or the raw pprof protobuf
 // with ?format=pprof — directly loadable by `go tool pprof`.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -58,23 +57,4 @@ func (s *Server) sloTriggers(digest string) {
 		}
 		s.cfg.Profiles.TryTrigger(profile.TriggerSLOPrefix+rep.Name, digest, TraceID(digest))
 	}
-}
-
-// profileTiles summarizes the recorder for the dashboard header tiles:
-// retained window count plus the newest window's trigger and hottest
-// function.
-func (s *Server) profileTiles() []telemetry.KV {
-	metas := s.cfg.Profiles.Index()
-	if len(metas) == 0 {
-		return nil
-	}
-	tiles := []telemetry.KV{
-		{Key: "profile windows", Value: strconv.Itoa(len(metas))},
-	}
-	newest := metas[0]
-	tiles = append(tiles, telemetry.KV{Key: "last profile", Value: newest.Trigger})
-	if newest.TopFunc != "" {
-		tiles = append(tiles, telemetry.KV{Key: "hottest function", Value: newest.TopFunc})
-	}
-	return tiles
 }

@@ -71,8 +71,8 @@ type Config struct {
 	// keyed by digest, served at GET /v1/trace/{digest}. Optional.
 	Traces *trace.Store
 	// Fleet aggregates every completed analysis into the mergeable
-	// snapshot served at GET /v1/fleet and rendered at GET /v1/dashboard.
-	// Nil gets a fresh default aggregator.
+	// snapshot served at GET /v1/fleet. Nil gets a fresh default
+	// aggregator.
 	Fleet *telemetry.Aggregator
 	// SlowDeadline arms the slow-analysis watchdog: any analysis running
 	// past it is logged while still in flight, and its span tree is
@@ -84,8 +84,8 @@ type Config struct {
 	Journal *events.Journal
 	// Profiles, when non-nil, is the continuous-profiling recorder: its
 	// ring is served at GET /v1/profiles[/{id}], the slow-analysis
-	// watchdog and SLO burn-rate alerts trigger captures on it, and its
-	// newest window headlines the dashboard. Optional.
+	// watchdog and SLO burn-rate alerts trigger captures on it.
+	// Optional.
 	Profiles *profile.Recorder
 	// Node names this daemon in journal events (typically its listen
 	// address). Optional.
@@ -182,7 +182,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/metricz", s.handleMetricz)
 	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/dashboard", s.handleDashboard)
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
 	mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
 	mux.HandleFunc("GET /v1/profiles/{id}", s.handleProfile)

@@ -14,7 +14,7 @@ const DefaultSampleInterval = 5 * time.Second
 // StartRuntimeSampler periodically samples the Go runtime into gauges on
 // reg — goroutine count, heap occupancy, GC cycles and total GC pause —
 // so the daemon's own health shows up next to the fleet aggregates in
-// /v1/metricz and the dashboard. It samples once immediately, then every
+// /v1/metricz. It samples once immediately, then every
 // interval until ctx is cancelled or the returned stop function runs.
 //
 // Gauges: runtime.goroutines, runtime.heap_alloc_bytes,

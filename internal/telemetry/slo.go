@@ -239,7 +239,7 @@ type BurnWindow struct {
 }
 
 // SLOReport is one objective's evaluated burn-rate view at a point in
-// time — the shape the dashboard tiles and Prometheus exposition render.
+// time — the shape /v1/fleet serves and the Prometheus exposition renders.
 type SLOReport struct {
 	Name        string  `json:"name"`
 	Target      float64 `json:"target"`

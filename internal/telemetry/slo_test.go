@@ -3,12 +3,10 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/dydroid/dydroid/internal/core"
-	"github.com/dydroid/dydroid/internal/events"
 	"github.com/dydroid/dydroid/internal/trace"
 )
 
@@ -235,30 +233,4 @@ func sumBuckets(o *SLOObjective) (good, bad int64) {
 		bad += b.Bad
 	}
 	return
-}
-
-// TestDashboardRendersSLOAndTimeline: the dashboard shows the SLO table
-// and the ops timeline when the snapshot carries them.
-func TestDashboardRendersSLOAndTimeline(t *testing.T) {
-	agg := New(Options{})
-	res, tr := sloApp(0, 50*time.Millisecond)
-	agg.ObserveApp(res, tr)
-	snap := agg.Snapshot()
-	snap.Events.Observe(events.Event{
-		Time: sloBase, Type: events.NodeEjected, Node: "127.0.0.1:9001",
-		Detail: "probe timeout",
-	})
-	var buf strings.Builder
-	if err := RenderDashboard(&buf, DashboardData{Snap: snap, Now: sloBase}); err != nil {
-		t.Fatal(err)
-	}
-	html := buf.String()
-	for _, want := range []string{
-		"Service objectives", SLOScanAvailability, SLOAnalyzeLatency,
-		"Ops timeline", "node-ejected", "probe timeout",
-	} {
-		if !strings.Contains(html, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
 }

@@ -8,9 +8,8 @@
 // events and failures.
 //
 // The aggregate state lives in a Snapshot, the serialization and merge
-// unit: the vetting daemon serves its live snapshot at /v1/fleet (and an
-// HTML rendering at /v1/dashboard), each experiments shard writes one as
-// fleet.json, and `apkinspect fleet merge` folds shard snapshots into the
+// unit: the vetting daemon serves its live snapshot at /v1/fleet, each
+// experiments shard writes one as fleet.json, and `apkinspect fleet merge` folds shard snapshots into the
 // single-fleet report. Merging the per-shard snapshots of a partitioned
 // corpus reproduces the unpartitioned aggregate exactly (see Merge and
 // the associativity property tests).

@@ -179,52 +179,6 @@ func TestMeasurementReportRenders(t *testing.T) {
 	}
 }
 
-func TestDashboardRenders(t *testing.T) {
-	a := New(Options{})
-	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	res := &core.AppResult{
-		Package: "com.dash.app", Status: core.StatusExercised,
-		Events: []*core.DCLEvent{{Kind: core.KindDex, API: "DexClassLoader",
-			Path: "/data/d.dex", CallSite: "com.sdk.B", Entity: core.EntityThirdParty,
-			Provenance: core.ProvenanceRemote, SourceURL: "http://evil.example/d.dex"}},
-	}
-	a.ObserveApp(res, appTrace("cd34", base, 50*time.Millisecond, 40*time.Millisecond))
-	a.ObserveError("com.sad.app", errFake("decompiler gave up"), nil)
-
-	var b strings.Builder
-	err := RenderDashboard(&b, DashboardData{
-		Title:   "dydroidd fleet",
-		Refresh: 2,
-		Header:  []KV{{Key: "record version", Value: "1"}},
-		Snap:    a.Snapshot(),
-		Gauges:  map[string]int64{"runtime.goroutines": 12, "runtime.heap_alloc_bytes": 5 << 20},
-		Now:     base,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`<meta http-equiv="refresh" content="2">`,
-		"dydroidd fleet",
-		"record version: 1",
-		"com.dash.app",
-		"com.sdk.B",
-		"Recent DCL events",
-		"decompiler gave up",
-		"goroutines",
-		"5.0 MiB",
-		"Stage latency",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dashboard missing %q", want)
-		}
-	}
-	if strings.Contains(out, "<script") {
-		t.Fatal("dashboard must not ship scripts")
-	}
-}
-
 func TestRuntimeSampler(t *testing.T) {
 	reg := metrics.New()
 	SampleRuntime(reg)

@@ -25,6 +25,9 @@ func Render(w io.Writer, t *Trace) {
 }
 
 func renderSpan(w io.Writer, s *Span, depth int, total time.Duration) {
+	if s == nil { // a decoded "children":[null]
+		return
+	}
 	indent := strings.Repeat("  ", depth)
 	width := 24 - len(indent)
 	if width < 1 {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +27,7 @@ type StoreOptions struct {
 	Cap int
 	// Metrics, when non-nil, receives the store's occupancy gauge
 	// (trace.store.len) and put/eviction counters (trace.store.puts,
-	// trace.store.evictions), making dashboard memory pressure visible.
+	// trace.store.evictions), making its memory pressure visible.
 	Metrics *metrics.Registry
 }
 
@@ -37,17 +36,10 @@ type StoreOptions struct {
 // older ones are evicted. All methods are safe for concurrent use.
 type Store struct {
 	dir string
-	cap int
 	reg *metrics.Registry
 
-	mu    sync.Mutex
-	order *list.List // front = most recently used; values are *storeEntry
-	items map[string]*list.Element
-}
-
-type storeEntry struct {
-	digest string
-	raw    json.RawMessage
+	mu  sync.Mutex // orders each file write with its LRU insert
+	lru *metrics.LRU[string, json.RawMessage]
 }
 
 // OpenStore creates a store, loading any traces already in opts.Dir
@@ -57,11 +49,9 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		opts.Cap = 512
 	}
 	s := &Store{
-		dir:   opts.Dir,
-		cap:   opts.Cap,
-		reg:   opts.Metrics,
-		order: list.New(),
-		items: make(map[string]*list.Element),
+		dir: opts.Dir,
+		reg: opts.Metrics,
+		lru: metrics.NewLRU[string, json.RawMessage](opts.Cap),
 	}
 	if s.dir == "" {
 		return s, nil
@@ -148,44 +138,32 @@ func (s *Store) Put(t *Trace) error {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
+	s.reg.Add("trace.store.puts", 1)
 	s.insert(t.Digest, raw)
 	return nil
 }
 
-// insert adds or refreshes an entry and applies the cap; callers in the
-// write path hold s.mu (load runs before the store is shared).
+// insert adds or refreshes an entry, evicting (and deleting the file of)
+// the least recently used one past the cap. Callers in the write path
+// hold s.mu; load runs before the store is shared.
 func (s *Store) insert(digest string, raw json.RawMessage) {
-	s.reg.Add("trace.store.puts", 1)
-	if el, ok := s.items[digest]; ok {
-		el.Value.(*storeEntry).raw = raw
-		s.order.MoveToFront(el)
-		return
-	}
-	s.items[digest] = s.order.PushFront(&storeEntry{digest: digest, raw: raw})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		evicted := oldest.Value.(*storeEntry).digest
-		delete(s.items, evicted)
+	if evicted, ok := s.lru.Put(digest, raw); ok {
 		s.reg.Add("trace.store.evictions", 1)
 		if s.dir != "" {
 			os.Remove(s.tracePath(evicted))
 		}
 	}
-	s.reg.SetGauge("trace.store.len", int64(s.order.Len()))
+	s.reg.SetGauge("trace.store.len", int64(s.lru.Len()))
 }
 
 // GetRaw returns the stored trace's JSON bytes (the exact body the
 // daemon serves at /v1/trace/{digest}), or ErrNotFound.
 func (s *Store) GetRaw(digest string) (json.RawMessage, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[digest]
+	raw, ok := s.lru.Get(digest)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*storeEntry).raw, nil
+	return raw, nil
 }
 
 // Get returns the decoded trace for the digest, or ErrNotFound.
@@ -203,9 +181,7 @@ func (s *Store) Get(digest string) (*Trace, error) {
 
 // Len reports the number of stored traces.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.lru.Len()
 }
 
 func digestOf(t *Trace) string {

@@ -182,3 +182,29 @@ func TestStoreMetrics(t *testing.T) {
 		t.Fatalf("occupancy gauge after refresh = %d, want 2", got)
 	}
 }
+
+// TestStoreReopenCountsNoPuts: traces restored from Dir on open are not
+// puts; they show only in the occupancy gauge.
+func TestStoreReopenCountsNoPuts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put(storedTrace(testDigest(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := metrics.New()
+	re, err := OpenStore(StoreOptions{Dir: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("trace.store.puts"); got != 0 {
+		t.Fatalf("puts counter after reopen = %d, want 0", got)
+	}
+	if got := reg.Gauge("trace.store.len"); got != 3 || re.Len() != 3 {
+		t.Fatalf("occupancy after reopen = gauge %d, Len %d; want 3", got, re.Len())
+	}
+}
