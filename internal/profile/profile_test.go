@@ -169,6 +169,8 @@ func TestNilRecorderIsInert(t *testing.T) {
 // must hold gzipped pprof bytes, and a busy loop under the pprof label
 // stage=busy must be sampled under it, which puts the label's key and
 // value in the profile's string table — what `go tool pprof -tags` sums.
+// The entries are matched whole (field 6, wire type 2, length, bytes), so
+// a function name or path that merely contains "stage" cannot pass.
 func TestCaptureRealCPUProfile(t *testing.T) {
 	r := New(Options{WindowDur: 80 * time.Millisecond})
 	stop := make(chan struct{})
@@ -199,7 +201,7 @@ func TestCaptureRealCPUProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Contains(proto, []byte("stage")) && bytes.Contains(proto, []byte("busy")) {
+		if bytes.Contains(proto, []byte("\x32\x05stage")) && bytes.Contains(proto, []byte("\x32\x04busy")) {
 			return
 		}
 	}
